@@ -15,9 +15,16 @@ and the mirror is accepted according to the configured aggression level
 (Algorithm 2).  Accepting a mirror swaps the two virtual qubits in the
 layout — data moves without any inserted SWAP gate, which is exactly the
 "mirage SWAP" the paper is named after.
+
+The three per-gate facts the decision needs — the gate's cost, its
+mirror's cost and its mirror's coordinate — depend only on the gate and
+the basis, never the layout.  The flat kernel therefore reads them from a
+:class:`MirrorTable` lowered once per ``IntDAG`` and coverage set.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -26,12 +33,86 @@ from repro.circuits.gates import UnitaryGate
 from repro.core.aggression import Aggression, accept_mirror
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler.kernel import KernelState
+from repro.transpiler.kernel import IntDAG, KernelState, int_dag
 from repro.transpiler.layout import Layout
 from repro.transpiler.metrics import gate_coordinate, node_coordinate
-from repro.transpiler.passes.sabre_swap import SabreSwap
+from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
 from repro.transpiler.topologies import CouplingMap
-from repro.weyl.mirror import mirror_coordinate
+from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
+
+
+@dataclasses.dataclass
+class MirrorTable:
+    """Layout-independent mirror facts per gate id of one ``IntDAG``.
+
+    Rows are indexed like ``IntDAG.gates`` and filled for the gates of
+    two-qubit nodes only (other rows stay zero):
+
+    * ``cost``: decomposition cost of the gate over ``unit_cost``;
+    * ``mirror_cost``: the same for its mirror ``SWAP . U``;
+    * ``mirror_coordinates``: the mirror's canonical Weyl coordinate.
+
+    Every value equals what the scalar ``gate_coordinate`` →
+    ``mirror_coordinate`` → ``cost_of`` chain gives for that gate.  The
+    costs are python lists because the commit hook reads two of them per
+    candidate, and scalar list indexing is several times faster than
+    ndarray indexing; a mirror coordinate is read only when a mirror is
+    accepted, to build the mirror gate.  The table lives as long as its ``IntDAG``; in a worker
+    that is as long as the payload memo keeps the payload.
+    """
+
+    cost: list[float]
+    mirror_cost: list[float]
+    mirror_coordinates: np.ndarray
+
+    @classmethod
+    def build(cls, intdag: IntDAG, coverage: CoverageSet) -> "MirrorTable":
+        """One coordinate per distinct gate, then one batched mirror
+        transform and one batched coverage query over (gate, mirror) rows.
+
+        ``mirror_coordinates_many`` and ``cost_of_many`` are element-wise
+        identical to their scalar forms, so the table equals a per-gate
+        scalar fill.
+        """
+        size = len(intdag.gates)
+        cost = np.zeros(size)
+        mirror_cost = np.zeros(size)
+        mirrored = np.zeros((size, 3))
+        gate_ids = np.unique(intdag.gate_ids[intdag.two_qubit == 1])
+        if gate_ids.size:
+            coordinates = np.array(
+                [gate_coordinate(intdag.gates[g]) for g in gate_ids.tolist()],
+                dtype=float,
+            )
+            mirrors = mirror_coordinates_many(coordinates)
+            # Interleaved (gate, mirror) rows: the coverage memo is filled
+            # in the pairwise order the per-commit queries used.
+            rows = np.stack((coordinates, mirrors), axis=1).reshape(-1, 3)
+            costs = coverage.cost_of_many(rows) / coverage.unit_cost
+            cost[gate_ids] = costs[0::2]
+            mirror_cost[gate_ids] = costs[1::2]
+            mirrored[gate_ids] = mirrors
+        return cls(
+            cost=cost.tolist(),
+            mirror_cost=mirror_cost.tolist(),
+            mirror_coordinates=mirrored,
+        )
+
+
+def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
+    """The :class:`MirrorTable` of ``intdag`` under ``coverage``, memoised.
+
+    Memoised on the ``IntDAG`` per coverage set, like the lookahead
+    windows of :meth:`KernelState.lookahead_pairs`, so every routing run
+    over one lowering (refinement rounds, layout trials) shares it.  It
+    is dropped from the ``IntDAG`` pickle; workers rebuild it on first
+    use.
+    """
+    tables = intdag.__dict__.setdefault("_mirror_tables", {})
+    table = tables.get(coverage)
+    if table is None:
+        table = tables[coverage] = MirrorTable.build(intdag, coverage)
+    return table
 
 
 class MirageSwap(SabreSwap):
@@ -107,23 +188,29 @@ class MirageSwap(SabreSwap):
 
     # -- the intermediate layer, flat-kernel twin ---------------------------
 
+    def _run_flat(
+        self,
+        dag: DAGCircuit,
+        initial_layout: Layout,
+        rng: np.random.Generator,
+    ) -> RoutingResult:
+        """Flat-kernel routing that reads this lowering's mirror table."""
+        self._mirror_table = mirror_table(int_dag(dag), self.coverage)
+        return super()._run_flat(dag, initial_layout, rng)
+
     def _commit_two_qubit_flat(
         self, state: KernelState, node_id: int, physical: tuple[int, int]
     ) -> None:
         """Mirror decision over flat kernel state (same arithmetic, same
-        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`)."""
+        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`).
+
+        The decomposition terms come from the run's :class:`MirrorTable`;
+        only the routing terms depend on the layout.
+        """
         self._stats["candidates"] += 1
 
-        gate = state.gate(node_id)
-        coordinate = gate_coordinate(gate)
-        mirrored_coordinate = mirror_coordinate(coordinate)
-
-        unit = self.coverage.unit_cost
-        pair_costs = self.coverage.cost_of_many(
-            (coordinate, mirrored_coordinate)
-        )
-        decomposition_current = float(pair_costs[0]) / unit
-        decomposition_mirror = float(pair_costs[1]) / unit
+        gate_id = state.gate_id(node_id)
+        table = self._mirror_table
 
         lookahead = state.lookahead_pairs(node_id)
         routing_current, routing_mirror = self._mirror_routing_costs_flat(
@@ -131,16 +218,23 @@ class MirageSwap(SabreSwap):
         )
 
         cost_current = (
-            self.decomposition_weight * decomposition_current + routing_current
+            self.decomposition_weight * table.cost[gate_id] + routing_current
         )
         cost_trial = (
-            self.decomposition_weight * decomposition_mirror + routing_mirror
+            self.decomposition_weight * table.mirror_cost[gate_id]
+            + routing_mirror
         )
 
         if accept_mirror(cost_current, cost_trial, self.aggression):
             self._stats["mirrors"] += 1
+            mirrored_coordinate = tuple(
+                table.mirror_coordinates[gate_id].tolist()
+            )
             state.ops.append(
-                (self._mirror_gate(gate, mirrored_coordinate), physical)
+                (
+                    self._mirror_gate(state.gate(node_id), mirrored_coordinate),
+                    physical,
+                )
             )
             state.swap_physical(*physical)
         else:

@@ -217,11 +217,14 @@ class IntDAG:
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # The list mirror and the lookahead memo are per-process interpreter
-        # caches; shipping them would double the payload for no benefit.
+        # The list mirror, the lookahead memo and the per-gate mirror tables
+        # are per-process interpreter caches; shipping them would grow the
+        # payload for no benefit (a mirror table is one batched coverage
+        # query to rebuild).
         state = dict(self.__dict__)
         state.pop("_lists", None)
         state.pop("_lookahead_cache", None)
+        state.pop("_mirror_tables", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

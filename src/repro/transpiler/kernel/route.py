@@ -91,6 +91,10 @@ class KernelState:
 
     # -- hook API -----------------------------------------------------------
 
+    def gate_id(self, node_id: int) -> int:
+        """Index of the node's gate in ``intdag.gates``."""
+        return self._lists.gate_ids[node_id]
+
     def gate(self, node_id: int) -> Gate:
         return self.intdag.gates[self._lists.gate_ids[node_id]]
 

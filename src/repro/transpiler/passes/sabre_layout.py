@@ -259,8 +259,10 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     downgraded transport, or in-process), and the replayed outcomes are
     byte-identical to what the dead worker would have returned.  Keep
     this function free of hidden state — no module globals, no
-    side effects beyond the memoised derived DAGs — or crash recovery
-    silently stops being deterministic.
+    side effects beyond the memoised derived data (the reverse DAG and
+    the ``IntDAG`` caches, mirror tables included) — or crash recovery
+    silently stops being deterministic.  Only the kept routing's
+    ``.dag`` is ever built; refinement rounds read ``final_layout``.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(ref.seed)

@@ -40,12 +40,29 @@ DECAY_DELTA = 0.001
 DECAY_RESET_INTERVAL = 5
 
 
+@dataclasses.dataclass(frozen=True)
+class RoutedOps:
+    """The flat kernel's routed op stream, not yet built into a DAG."""
+
+    num_qubits: int
+    name: str
+    ops: list[tuple[Gate, tuple[int, ...]]]
+
+    def to_dag(self) -> DAGCircuit:
+        out = DAGCircuit(self.num_qubits, self.name)
+        for gate, physical in self.ops:
+            out.add_node(gate, physical)
+        return out
+
+
 @dataclasses.dataclass
 class RoutingResult:
     """Outcome of one routing run.
 
     Attributes:
-        dag: the mapped DAG on physical qubits (includes inserted SWAPs).
+        routed: the mapped circuit on physical qubits (includes inserted
+            SWAPs) — a ``DAGCircuit``, or the flat kernel's
+            :class:`RoutedOps` until :attr:`dag` is first read.
         initial_layout: layout at circuit start.
         final_layout: layout after the last gate.
         swaps_added: number of SWAP gates inserted by the router.
@@ -53,12 +70,24 @@ class RoutingResult:
         mirror_candidates: number of gates that reached the intermediate layer.
     """
 
-    dag: DAGCircuit
+    routed: DAGCircuit | RoutedOps
     initial_layout: Layout
     final_layout: Layout
     swaps_added: int
     mirrors_accepted: int = 0
     mirror_candidates: int = 0
+
+    @property
+    def dag(self) -> DAGCircuit:
+        """The mapped DAG, built from the op stream on first access.
+
+        Refinement rounds only read ``final_layout``, so their runs never
+        build one; the kept routing builds it once, when the selection
+        metric or the pipeline first reads it.
+        """
+        if isinstance(self.routed, RoutedOps):
+            self.routed = self.routed.to_dag()
+        return self.routed
 
     def to_circuit(self) -> QuantumCircuit:
         return self.dag.to_circuit()
@@ -139,11 +168,8 @@ class SabreSwap:
             stall_limit=10 * max(10, self.coupling.num_qubits),
             commit=self._commit_two_qubit_flat,
         )
-        out = DAGCircuit(self.coupling.num_qubits, dag.name)
-        for gate, physical in state.ops:
-            out.add_node(gate, physical)
         return RoutingResult(
-            dag=out,
+            routed=RoutedOps(self.coupling.num_qubits, dag.name, state.ops),
             initial_layout=initial_layout.copy(),
             final_layout=Layout(state.v2p, self.coupling.num_qubits),
             swaps_added=state.swaps_added,
@@ -207,7 +233,7 @@ class SabreSwap:
             swaps_added += 1
 
         return RoutingResult(
-            dag=out,
+            routed=out,
             initial_layout=initial_layout.copy(),
             final_layout=layout,
             swaps_added=swaps_added,

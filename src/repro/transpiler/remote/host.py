@@ -32,17 +32,24 @@ Run one with::
     # or:  python -m repro.transpiler.remote.host --tcp 127.0.0.1:7421
 
 The process prints ``MIRAGE-HOST-READY <address>`` once listening.
+
+A host unpickles what its peers send, so it only accepts peers of this
+machine: the unix socket is created with mode 0600 (owner only), and
+``--tcp`` refuses any address that is not loopback until the handshake
+authenticates peers.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ipaddress
 import os
 import pickle
 import shutil
 import signal
 import socket
+import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -50,6 +57,7 @@ from collections import OrderedDict
 from repro.exceptions import (
     GarbledFrameError,
     RemoteTransportError,
+    TransportError,
     TranspilerError,
 )
 from repro.transpiler.executors import (
@@ -83,6 +91,45 @@ from repro.transpiler.remote.protocol import (
 )
 
 
+def _require_loopback(host: str) -> None:
+    """Refuse a TCP listen address other than a loopback one.
+
+    Raises:
+        TransportError: if ``host`` is not ``localhost`` or a loopback
+            IP literal (an empty host means every interface).
+    """
+    try:
+        loopback = host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        loopback = False
+    if not loopback:
+        raise TransportError(
+            f"refusing to listen on non-loopback address {host!r}: the "
+            "worker host unpickles what peers send and its handshake does "
+            "not authenticate them yet; listen on 127.0.0.1 or a unix socket"
+        )
+
+
+def _bind_owner_only(listener: socket.socket, path: str) -> None:
+    """Bind ``listener`` to the unix socket ``path`` with mode 0600.
+
+    The socket is bound inside a fresh mode-0700 directory next to
+    ``path``, restricted to 0600 there and only then renamed into place,
+    so other users can never reach it, not even briefly.  The process
+    umask is left alone: other threads may be creating files meanwhile.
+    """
+    staging = tempfile.mkdtemp(
+        prefix=".mirage_bind_", dir=os.path.dirname(os.path.abspath(path))
+    )
+    try:
+        staged = os.path.join(staging, "sock")
+        listener.bind(staged)
+        os.chmod(staged, 0o600)
+        os.rename(staged, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 class WorkerHost:
     """One remote trial-execution host serving the framed protocol.
 
@@ -102,6 +149,8 @@ class WorkerHost:
         spool_dir: str | None = None,
         heartbeat_s: float | None = None,
     ) -> None:
+        if tcp is not None:
+            _require_loopback(tcp[0])
         # Every host startup doubles as a janitor pass: dead siblings'
         # segments, socket files and spools are reclaimed before this
         # host adds its own.
@@ -127,7 +176,7 @@ class WorkerHost:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self._socket_path)
             self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._listener.bind(self._socket_path)
+            _bind_owner_only(self._listener, self._socket_path)
             self._listener.listen()
             self.address = HostAddress(unix_path=self._socket_path)
 
@@ -422,7 +471,10 @@ def main(argv: "list[str] | None" = None) -> int:
         "--tcp",
         default=None,
         metavar="HOST:PORT",
-        help="listen on TCP instead of a Unix socket (port 0 picks one)",
+        help=(
+            "listen on TCP instead of a Unix socket (port 0 picks one); "
+            "loopback addresses only"
+        ),
     )
     parser.add_argument(
         "--heartbeat",
@@ -438,9 +490,12 @@ def main(argv: "list[str] | None" = None) -> int:
         if address.tcp_host is None:
             parser.error("--tcp expects HOST:PORT")
         tcp = (address.tcp_host, address.tcp_port)
-    host = WorkerHost(
-        socket_path=args.socket, tcp=tcp, heartbeat_s=args.heartbeat
-    )
+    try:
+        host = WorkerHost(
+            socket_path=args.socket, tcp=tcp, heartbeat_s=args.heartbeat
+        )
+    except TransportError as exc:
+        parser.error(str(exc))
 
     def _terminate(signum: int, frame: object) -> None:
         raise SystemExit(0)

@@ -17,6 +17,8 @@ Covers the remote tier end to end:
   degrades to local execution — all visible in the ``reconnects`` /
   ``host_downgrades`` / ``frames_garbled`` counters, which are exactly
   zero on clean runs;
+* listener hardening — the unix socket is owner-only (0600) and TCP
+  listeners refuse non-loopback addresses;
 * resource hygiene — no leaked sockets, spool directories, shared
   memory segments or host processes after ``close()``, after a
   mid-dispatch SIGKILL of a real worker-host process, and the janitor
@@ -28,6 +30,7 @@ import hashlib
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import tempfile
@@ -61,6 +64,7 @@ from repro.transpiler.executors import (
 )
 from repro.transpiler.faults import HOST_SOCKET_PREFIX, SPOOL_PREFIX
 from repro.transpiler.remote import protocol
+from repro.transpiler.remote.host import main as host_main
 from repro.transpiler.remote.protocol import (
     CHUNK,
     HELLO,
@@ -583,3 +587,51 @@ def test_remote_errors_are_typed():
     assert issubclass(GarbledFrameError, RemoteTransportError)
     # A version mismatch is a deployment bug, not retriable transport loss.
     assert not issubclass(ProtocolVersionError, TransportError)
+
+
+# ---------------------------------------------------------------------------
+# Listener hardening: hosts unpickle what peers send
+# ---------------------------------------------------------------------------
+
+
+def test_unix_socket_is_owner_only(tmp_path):
+    path = str(tmp_path / "host.sock")
+    previous = os.umask(0o022)
+    try:
+        host = WorkerHost(socket_path=path, heartbeat_s=0.1)
+        try:
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+            # The process umask is untouched and no staging dir is left.
+            assert os.umask(0o022) == 0o022
+            assert os.listdir(tmp_path) == ["host.sock"]
+        finally:
+            host.close()
+    finally:
+        os.umask(previous)
+
+
+@pytest.mark.parametrize("address", ["0.0.0.0", "", "10.0.0.2", "::", "my-box"])
+def test_tcp_refuses_non_loopback_address(address):
+    with pytest.raises(TransportError, match="non-loopback"):
+        WorkerHost(tcp=(address, 0), heartbeat_s=0.1)
+
+
+def test_tcp_cli_refuses_non_loopback_address(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        host_main(["--tcp", "0.0.0.0:0"])
+    assert exit_info.value.code == 2
+    assert "non-loopback" in capsys.readouterr().err
+
+
+def test_tcp_loopback_address_serves():
+    host = WorkerHost(tcp=("127.0.0.1", 0), heartbeat_s=0.1)
+    host.start()
+    try:
+        assert host.address.tcp_host == "127.0.0.1"
+        executor = RemoteExecutor(hosts=[host.address])
+        try:
+            assert executor.prewarm() == 1
+        finally:
+            executor.close()
+    finally:
+        host.close()

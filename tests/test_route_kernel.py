@@ -11,7 +11,9 @@ Covers the PR-6 guarantees:
   layer, interpreter-cache hygiene under pickle);
 * the decay-reset ordering regression at the ``DECAY_RESET_INTERVAL``
   boundary (reset-on-execute vs. reset-on-interval must interleave
-  identically in both kernels).
+  identically in both kernels);
+* the per-gate mirror table (equal to the scalar coordinate/mirror/cost
+  chain, never pickled) and the lazily built routed DAG.
 """
 
 import hashlib
@@ -23,8 +25,9 @@ import pytest
 from repro.exceptions import TranspilerError
 from repro.circuits.circuit import random_two_qubit_block_circuit
 from repro.circuits.dag import DAGCircuit
-from repro.circuits.library import ghz, qft, twolocal_full
+from repro.circuits.library import TABLE_III_SUITE, ghz, qft, twolocal_full
 from repro.core import MirageSwap, transpile
+from repro.core.mirage_pass import mirror_table
 from repro.polytopes import get_coverage_set
 from repro.transpiler import (
     CouplingMap,
@@ -41,7 +44,21 @@ from repro.transpiler.kernel import (
     neighbor_table,
     route_kernel_mode,
 )
-from repro.transpiler.passes import SabreSwap
+from repro.transpiler.metrics import gate_coordinate
+from repro.transpiler.passes import (
+    DepthMetric,
+    SabreRouterFactory,
+    SabreSwap,
+    TrialSpec,
+    TrialRef,
+    clean_input,
+    consolidate_blocks,
+    run_trial,
+    swap_count_metric,
+    unroll_to_two_qubit,
+)
+from repro.transpiler.passes.sabre_swap import RoutedOps
+from repro.weyl.mirror import mirror_coordinate
 
 COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
@@ -452,3 +469,150 @@ def test_decay_reset_boundary_identity(monkeypatch, interval):
         )
 
     assert run("flat") == run("object")
+
+
+# ---------------------------------------------------------------------------
+# Per-gate mirror table
+# ---------------------------------------------------------------------------
+
+
+def _fresh(coverage):
+    """A copy of ``coverage`` with an empty cost memo (pickle drops it)."""
+    return pickle.loads(pickle.dumps(coverage))
+
+
+def _routing_input(circuit):
+    """The DAG the route stage sees: cleaned, unrolled, consolidated."""
+    prepared = consolidate_blocks(
+        clean_input(unroll_to_two_qubit(clean_input(circuit)))
+    )
+    return DAGCircuit.from_circuit(prepared)
+
+
+MIRROR_TABLE_CIRCUITS = [qft(12), twolocal_full(6)] + [
+    spec.build() for spec in TABLE_III_SUITE
+]
+
+
+@pytest.mark.parametrize(
+    "coverage",
+    [COVERAGE, get_coverage_set("cx", num_samples=100, seed=3)],
+    ids=["sqrt_iswap", "cx"],
+)
+def test_mirror_table_matches_scalar_chain(coverage):
+    """Every entry equals gate_coordinate -> mirror_coordinate -> cost_of,
+    evaluated against a coverage copy whose memo the table never saw."""
+    scalar = _fresh(coverage)
+    unit = coverage.unit_cost
+    checked = 0
+    for circuit in MIRROR_TABLE_CIRCUITS:
+        for dag in (DAGCircuit.from_circuit(circuit), _routing_input(circuit)):
+            lowered = int_dag(dag)
+            table = mirror_table(lowered, _fresh(coverage))
+            for node in dag.nodes.values():
+                if not node.is_two_qubit:
+                    continue
+                gate_id = int(lowered.gate_ids[node.node_id])
+                coordinate = gate_coordinate(node.gate)
+                mirrored = mirror_coordinate(coordinate)
+                assert table.cost[gate_id] == scalar.cost_of(coordinate) / unit
+                assert (
+                    table.mirror_cost[gate_id]
+                    == scalar.cost_of(mirrored) / unit
+                )
+                assert tuple(table.mirror_coordinates[gate_id].tolist()) == mirrored
+                checked += 1
+    assert checked > 1000
+
+
+def test_mirror_table_memoised_per_coverage_and_not_pickled():
+    dag = _routing_input(qft(6))
+    lowered = int_dag(dag)
+    bare = pickle.dumps(lowered)
+    table = mirror_table(lowered, COVERAGE)
+    assert mirror_table(lowered, COVERAGE) is table
+    other = _fresh(COVERAGE)
+    assert mirror_table(lowered, other) is not table
+
+    payload = pickle.dumps(lowered)
+    assert payload == bare
+    clone = pickle.loads(payload)
+    assert "_mirror_tables" not in clone.__dict__
+    rebuilt = mirror_table(clone, COVERAGE)
+    assert rebuilt.cost == table.cost
+    assert rebuilt.mirror_cost == table.mirror_cost
+    assert np.array_equal(rebuilt.mirror_coordinates, table.mirror_coordinates)
+
+
+@pytest.mark.parametrize("aggression", [0, 1, 2, 3])
+def test_flat_object_digest_identity_per_aggression(monkeypatch, aggression):
+    """Aggression 3 accepts every candidate, so it emits mirror gates
+    built from the table's coordinates; the digest includes their
+    matrices."""
+    flat, obj = _transpile_both(
+        monkeypatch,
+        qft(6),
+        heavy_hex_topology(12),
+        method="mirage",
+        aggression=aggression,
+        layout_trials=2,
+        use_vf2=False,
+        coverage=COVERAGE,
+        seed=23,
+    )
+    assert _digest(flat) == _digest(obj)
+    assert flat.mirrors_accepted == obj.mirrors_accepted
+    if aggression == 3:
+        assert flat.mirrors_accepted == flat.mirror_candidates > 0
+
+
+# ---------------------------------------------------------------------------
+# Lazily built routed DAG
+# ---------------------------------------------------------------------------
+
+
+def test_refinement_run_builds_no_dag(monkeypatch):
+    coupling = heavy_hex_topology(12)
+    dag = DAGCircuit.from_circuit(qft(6))
+    layout = Layout.random(6, coupling.num_qubits, np.random.default_rng(4))
+    router = MirageSwap(coupling, coverage=COVERAGE, aggression=2)
+
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    lazy = router.run(dag, layout.copy(), seed=8)
+    assert isinstance(lazy.routed, RoutedOps)
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
+    full = router.run(dag, layout.copy(), seed=8)
+    assert isinstance(full.routed, DAGCircuit)
+
+    assert (
+        lazy.final_layout.virtual_to_physical()
+        == full.final_layout.virtual_to_physical()
+    )
+    assert isinstance(lazy.routed, RoutedOps)  # reading the layout built nothing
+    built = lazy.dag
+    assert lazy.dag is built  # built exactly once
+    assert _routing_stream(lazy) == _routing_stream(full)
+
+
+@pytest.mark.parametrize(
+    "metric, built", [(swap_count_metric, False), (DepthMetric(coverage=COVERAGE), True)]
+)
+def test_kept_routing_builds_dag_only_when_read(monkeypatch, metric, built):
+    """Only a metric that reads the DAG builds it inside the trial; the
+    swap-count metric leaves it to whoever reads ``.dag`` next."""
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    coupling = grid_topology(2, 3)
+    dag = DAGCircuit.from_circuit(qft(5))
+    spec = TrialSpec(
+        dag=dag,
+        reverse_dag=None,
+        coupling=coupling,
+        router_factory=SabreRouterFactory(coupling),
+        refinement_rounds=2,
+        routing_trials=1,
+        selection_metric=metric,
+    )
+    outcome = run_trial(spec, TrialRef(0, np.random.SeedSequence(3)))
+    assert isinstance(outcome.routing.routed, DAGCircuit) == built
+    clone = pickle.loads(pickle.dumps(outcome.routing))
+    assert _routing_stream(clone) == _routing_stream(outcome.routing)
