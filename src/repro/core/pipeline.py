@@ -31,7 +31,7 @@ from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler.executors import TrialExecutor
 from repro.transpiler.layout import apply_layout, vf2_layout
 from repro.transpiler.metrics import evaluate
-from repro.transpiler.passes.cleanup import clean_input
+from repro.transpiler.passes.cleanup import clean_input, elide_input_swaps
 from repro.transpiler.passes.consolidate import consolidate_blocks
 from repro.transpiler.passes.sabre_layout import (
     DepthMetric,
@@ -71,6 +71,27 @@ class MirageRouterFactory:
             self.coupling,
             self.coverage,
             aggression=self.schedule[trial % len(self.schedule)],
+        )
+
+
+class CleanInputPass(BasePass):
+    """:func:`clean_input` as a stage that records the elided input SWAPs.
+
+    The permutation :func:`elide_input_swaps` absorbs is composed into the
+    ``output_permutation`` property (the ``clean`` and ``reclean`` stages
+    both run this pass): ``output_permutation[q]`` is the virtual qubit
+    holding input qubit ``q``'s state at the end of the circuit.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def run(self, state: PipelineState) -> None:
+        cleaned = clean_input(state.circuit, elide_swaps=False)
+        state.circuit, absorbed = elide_input_swaps(cleaned)
+        earlier = state.properties.get("output_permutation")
+        state.properties["output_permutation"] = (
+            absorbed if earlier is None else [absorbed[wire] for wire in earlier]
         )
 
 
@@ -383,6 +404,7 @@ class SelectResultPass(BasePass):
             trial_index=props.get("trial_index", -1),
             input_metrics=props.get("input_metrics"),
             trial_seconds=props.get("trial_seconds"),
+            output_permutation=props.get("output_permutation"),
         )
 
 
@@ -407,9 +429,9 @@ def validate_flow(method: str, selection: str) -> tuple[str, str]:
 def build_prepare_pipeline(*, consolidate: bool = True) -> PassManager:
     """Input cleaning + unrolling + consolidation (paper Section V)."""
     manager = PassManager()
-    manager.append(FunctionPass("clean", clean_input))
+    manager.append(CleanInputPass("clean"))
     manager.append(FunctionPass("unroll", unroll_to_two_qubit))
-    manager.append(FunctionPass("reclean", clean_input))
+    manager.append(CleanInputPass("reclean"))
     if consolidate:
         manager.append(FunctionPass("consolidate", consolidate_blocks))
     return manager

@@ -67,6 +67,12 @@ class TranspileResult:
         Summed wall-clock seconds spent inside this circuit's routing
         trials (worker time).  ``None`` when routing was skipped (VF2
         embedding) or for results predating this field.
+    output_permutation : list of int or None
+        Wire permutation absorbed by eliding the input program's SWAP
+        gates: input qubit ``q`` ends on virtual qubit
+        ``output_permutation[q]``, i.e. on physical qubit
+        ``final_layout.v2p(output_permutation[q])``.  ``None`` when the
+        pipeline had no clean stage.
     """
 
     circuit: QuantumCircuit
@@ -84,6 +90,7 @@ class TranspileResult:
     input_metrics: CircuitMetrics | None = None
     pipeline_report: list[dict] | None = None
     trial_seconds: float | None = None
+    output_permutation: list[int] | None = None
 
     def stage_seconds(self) -> dict[str, float]:
         """Wall-clock seconds per pipeline stage.

@@ -10,9 +10,9 @@ the index structures the flat kernel gathers over:
 * a per-qubit incident-edge index, so ``_swap_candidates`` is set-union of
   precomputed tuples instead of per-stall neighbour walks;
 * ``dist_int``: the hop-distance matrix as ``int64`` (``-1`` where
-  unreachable) for exact integer scoring on connected graphs, next to the
-  float matrix (shared with ``CouplingMap.distance_matrix``) used verbatim
-  when infinities are possible.
+  unreachable), which the compiled SWAP scorer reads on connected graphs,
+  next to the float matrix (shared with ``CouplingMap.distance_matrix``)
+  used verbatim when infinities are possible.
 
 Tables are memoised per ``CouplingMap`` in a weak-keyed registry rather
 than on the object, so pickled coupling maps never drag the table along.
@@ -105,20 +105,20 @@ class NeighborTable:
             self.__dict__["_dist_int_lists"] = cached
         return cached
 
-    def dist_int_flat(self) -> list[int]:
-        """Row-major flat hop distances (index ``a * num_qubits + b``)."""
-        cached = self.__dict__.get("_dist_int_flat")
-        if cached is None:
-            cached = self.dist_int.ravel().tolist()
-            self.__dict__["_dist_int_flat"] = cached
-        return cached
-
     def dist_lists(self) -> list[list[float]]:
         cached = self.__dict__.get("_dist_lists")
         if cached is None:
             cached = self.dist.tolist()
             self.__dict__["_dist_lists"] = cached
         return cached
+
+    def __getstate__(self) -> dict:
+        # The list mirrors are per-process interpreter caches, as on IntDAG.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.startswith("_")
+        }
 
 
 _TABLES: "weakref.WeakKeyDictionary[CouplingMap, NeighborTable]" = (

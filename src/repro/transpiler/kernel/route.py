@@ -3,24 +3,26 @@
 :func:`route_kernel` walks an :class:`~repro.transpiler.kernel.intdag.IntDAG`
 with a :class:`~repro.transpiler.kernel.neighbors.NeighborTable`, keeping all
 per-run state — layout, in-degrees, decay — in flat int/float containers.
-Candidate scoring keeps the incremental per-edge deltas over the flat
-arrays: window sums are accumulated once per stall, and each candidate edge
-re-evaluates only the pairs touching its two endpoints via a per-qubit
-pair-id index.  Hop distances are integer-valued, so on connected graphs
-the whole scorer runs in exact Python int arithmetic over a flat row-major
-distance list and produces exactly the floats the object path computes.
 
-Only tie-breaking is kept as a sequential scan: the object path compares
-each score against the running best with a ``1e-12`` tolerance, and that
-recurrence is order-dependent — a vectorised argmin-with-tolerance can keep
-a different near-tie set.  The scan draws from the same per-trial
-``SeedSequence`` stream in the same order, so fixed-seed outputs are
-byte-identical to ``MIRAGE_ROUTE_KERNEL=object``.
+At a stall, :func:`_choose_swap` scores every candidate SWAP edge.  On
+connected coupling maps the scoring runs in one small compiled C function
+(``_score.c``, built and loaded by :mod:`repro.transpiler.kernel.native`);
+Python converts the layout, the front and the lookahead window to int
+arrays and gets back the tied-best edge ids.  Disconnected maps, and hosts
+where no C compiler is found, use the Python float scorer
+:func:`_best_edges_float`.  Both compute the object router's score
+expressions and tolerance tie-break term for term — hop distances are
+integers, so the window sums are exact — and both keep the tied-best edges
+in candidate order.  The single ``rng.integers`` draw among them stays in
+Python and happens in the same position of the per-trial ``SeedSequence``
+stream, so fixed-seed outputs are byte-identical to
+``MIRAGE_ROUTE_KERNEL=object`` with or without the compiled scorer.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from collections import deque
 from typing import Callable
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.exceptions import TranspilerError
 from repro.circuits.gates import Gate
+from repro.transpiler.kernel import native
 from repro.transpiler.kernel.intdag import KIND_CHECK2, KIND_FREE, IntDAG
 from repro.transpiler.kernel.neighbors import NeighborTable
 
@@ -66,7 +69,6 @@ class KernelState:
         "swaps_added",
         "extended_set_size",
         "_lists",
-        "_touch",
     )
 
     def __init__(
@@ -86,8 +88,6 @@ class KernelState:
         self.swaps_added = 0
         self.extended_set_size = extended_set_size
         self._lists = intdag.lists()
-        # Scratch per-qubit pair-id lists for the scorer (reset after use).
-        self._touch: list[list[int] | None] = [None] * table.num_qubits
 
     # -- hook API -----------------------------------------------------------
 
@@ -194,8 +194,9 @@ def route_kernel(
     v2p = state.v2p
     ops = state.ops
 
+    scorer = native.bind(table, intdag)
     num_physical = table.num_qubits
-    decay = [1.0] * num_physical
+    decay = array("d", [1.0]) * num_physical
     decay_dirty = False
     decay_steps = 0
     stall_counter = 0
@@ -230,7 +231,7 @@ def route_kernel(
         front = still_blocked
         if executed_any:
             if decay_dirty:
-                decay = [1.0] * num_physical
+                decay = array("d", [1.0]) * num_physical
                 decay_dirty = False
             decay_steps = 0
             stall_counter = 0
@@ -249,7 +250,7 @@ def route_kernel(
         if extended_cache is None:
             extended_cache = state.extended_ids(front)
         edge = _choose_swap(
-            state, front, extended_cache, decay, rng, extended_set_weight
+            state, front, extended_cache, decay, rng, extended_set_weight, scorer
         )
         ops.append((Gate("swap", 2), edge))
         state.swap_physical(*edge)
@@ -258,7 +259,7 @@ def route_kernel(
         decay_dirty = True
         decay_steps += 1
         if decay_steps >= decay_reset_interval:
-            decay = [1.0] * num_physical
+            decay = array("d", [1.0]) * num_physical
             decay_dirty = False
             decay_steps = 0
         state.swaps_added += 1
@@ -270,22 +271,43 @@ def _choose_swap(
     state: KernelState,
     front: list[int],
     extended: list[int],
-    decay: list[float],
+    decay: array,
     rng: np.random.Generator,
     extended_set_weight: float,
+    scorer: native.Scorer | None,
 ) -> tuple[int, int]:
     """Pick the SWAP edge, byte-compatible with the object ``_choose_swap``.
 
-    Scoring keeps the PR-2 incremental per-edge deltas, but over the flat
-    arrays: the window sums are accumulated once per stall, and each
-    candidate edge re-evaluates only the pairs touching its two physical
-    qubits.  On connected graphs all of it runs in exact int arithmetic
-    over the nested hop-distance lists, so the delta-adjusted sums equal
-    a full rescore bit-for-bit; the float path (possible infinities)
-    replicates the object scorer including its direct-sum fallback.  The
-    tolerance tie-break is an order-dependent recurrence and stays a
-    sequential scan; its single RNG draw happens in the same position of
-    the per-trial stream.
+    ``scorer`` is the run's compiled scorer (connected coupling maps on
+    hosts with a C compiler); otherwise :func:`_best_edges_float` scores.
+    Both return the same tied-best edges in candidate order, and the single
+    RNG draw among them happens in the same position of the per-trial
+    stream as on the object path.
+    """
+    if scorer is not None:
+        best = scorer.best_edges(state.v2p, front, extended, decay, extended_set_weight)
+    else:
+        best = _best_edges_float(state, front, extended, decay, extended_set_weight)
+    if not best:
+        raise TranspilerError(
+            "cannot route: some target qubits are unreachable on this coupling map"
+        )
+    return best[int(rng.integers(len(best)))]
+
+
+def _best_edges_float(
+    state: KernelState,
+    front: list[int],
+    extended: list[int],
+    decay: array,
+    extended_set_weight: float,
+) -> list[tuple[int, int]]:
+    """Tied-best edges in Python: float distances with inf propagation.
+
+    The one Python scorer — disconnected coupling maps, and hosts without a
+    C compiler.  Mirrors the object path exactly: incremental per-edge
+    deltas over the window sums, and its direct-sum fallback once a window
+    sum goes infinite (``inf - inf`` would poison the deltas).
     """
     lists = state._lists
     table = state.table
@@ -305,147 +327,6 @@ def _choose_swap(
         raise TranspilerError(
             "no SWAP candidates: the coupling graph is likely disconnected"
         )
-    candidates = sorted(candidate_ids)
-
-    if not table.connected:
-        return _choose_swap_float(
-            state, front, extended, decay, rng, extended_set_weight, candidates
-        )
-
-    # Connected fast path: exact int arithmetic over the flat row-major
-    # hop-distance list.  Pairs live in two parallel endpoint lists; per
-    # physical qubit a scratch list of pair ids (``state._touch``, reset
-    # before returning) replaces the dict-of-tuples used by the float
-    # fallback.  Pair ids below ``num_front`` belong to the front group.
-    num_front = len(front)
-    num_pairs = num_front + len(extended)
-    pair_left = [0] * num_pairs
-    pair_right = [0] * num_pairs
-    pair_row = [0] * num_pairs  # left * stride, for one-mul lookups
-    stride = table.num_qubits
-    distance = table.dist_int_flat()
-    touch = state._touch
-    touched: list[int] = []
-    front_sum0 = 0
-    extended_sum0 = 0
-    pair_id = 0
-    for group_nodes in (front, extended):
-        for node_id in group_nodes:
-            left = v2p[qubit0[node_id]]
-            right = v2p[qubit1[node_id]]
-            pair_left[pair_id] = left
-            pair_right[pair_id] = right
-            pair_row[pair_id] = row = left * stride
-            if pair_id < num_front:
-                front_sum0 += distance[row + right]
-            else:
-                extended_sum0 += distance[row + right]
-            bucket = touch[left]
-            if bucket is None:
-                touch[left] = bucket = []
-                touched.append(left)
-            bucket.append(pair_id)
-            if right != left:
-                bucket = touch[right]
-                if bucket is None:
-                    touch[right] = bucket = []
-                    touched.append(right)
-                bucket.append(pair_id)
-            pair_id += 1
-
-    num_extended = len(extended)
-    edges_a_list, edges_b_list = table.edge_lists()
-    best_score = np.inf
-    best_edges: list[tuple[int, int]] = []
-    for edge_id in candidates:
-        edge_a = edges_a_list[edge_id]
-        edge_b = edges_b_list[edge_id]
-        row_a = edge_a * stride
-        row_b = edge_b * stride
-        front_sum = front_sum0
-        extended_sum = extended_sum0
-        # A pair in a bucket touches that endpoint on exactly one side, so
-        # the remap is one-sided; pairs touching both endpoints keep their
-        # distance and are skipped.
-        bucket = touch[edge_a]
-        if bucket is not None:
-            for pair_id in bucket:
-                left = pair_left[pair_id]
-                right = pair_right[pair_id]
-                if left == edge_a:
-                    if right == edge_b:
-                        continue
-                    delta = distance[row_b + right] - distance[row_a + right]
-                else:  # right == edge_a
-                    if left == edge_b:
-                        continue
-                    row = pair_row[pair_id]
-                    delta = distance[row + edge_b] - distance[row + edge_a]
-                if pair_id < num_front:
-                    front_sum += delta
-                else:
-                    extended_sum += delta
-        bucket = touch[edge_b]
-        if bucket is not None:
-            for pair_id in bucket:
-                left = pair_left[pair_id]
-                right = pair_right[pair_id]
-                if left == edge_b:
-                    if right == edge_a:
-                        continue
-                    delta = distance[row_a + right] - distance[row_b + right]
-                else:  # right == edge_b
-                    if left == edge_a:
-                        continue
-                    row = pair_row[pair_id]
-                    delta = distance[row + edge_a] - distance[row + edge_b]
-                if pair_id < num_front:
-                    front_sum += delta
-                else:
-                    extended_sum += delta
-        # At a stall the front is never empty, so the front term is
-        # unconditional (the object path's `if front:` guard adds 0.0
-        # otherwise, which never happens here).
-        score = front_sum / num_front
-        if num_extended:
-            score += extended_set_weight * extended_sum / num_extended
-        decay_a = decay[edge_a]
-        decay_b = decay[edge_b]
-        score = score * (decay_a if decay_a >= decay_b else decay_b)
-        diff = score - best_score
-        if diff < -1e-12:
-            best_score = score
-            best_edges = [(edge_a, edge_b)]
-        elif diff <= 1e-12:
-            best_edges.append((edge_a, edge_b))
-    for qubit in touched:
-        touch[qubit] = None
-    if not best_edges:
-        raise TranspilerError(
-            "cannot route: some target qubits are unreachable on this coupling map"
-        )
-    return best_edges[int(rng.integers(len(best_edges)))]
-
-
-def _choose_swap_float(
-    state: KernelState,
-    front: list[int],
-    extended: list[int],
-    decay: list[float],
-    rng: np.random.Generator,
-    extended_set_weight: float,
-    candidates: list[int],
-) -> tuple[int, int]:
-    """Disconnected-coupling scorer: float distances with inf propagation.
-
-    Mirrors the object path exactly, including its direct-sum fallback once
-    a window sum goes infinite (``inf - inf`` would poison the deltas).
-    """
-    lists = state._lists
-    table = state.table
-    v2p = state.v2p
-    qubit0 = lists.qubit0
-    qubit1 = lists.qubit1
 
     front_pairs = [(v2p[qubit0[i]], v2p[qubit1[i]]) for i in front]
     extended_pairs = [(v2p[qubit0[i]], v2p[qubit1[i]]) for i in extended]
@@ -471,7 +352,7 @@ def _choose_swap_float(
     empty: tuple = ()
     best_score = np.inf
     best_edges: list[tuple[int, int]] = []
-    for edge_id in candidates:
+    for edge_id in sorted(candidate_ids):
         edge_a = edges_a_list[edge_id]
         edge_b = edges_b_list[edge_id]
         if finite:
@@ -529,8 +410,4 @@ def _choose_swap_float(
             best_edges = [(edge_a, edge_b)]
         elif abs(score - best_score) <= 1e-12:
             best_edges.append((edge_a, edge_b))
-    if not best_edges:
-        raise TranspilerError(
-            "cannot route: some target qubits are unreachable on this coupling map"
-        )
-    return best_edges[int(rng.integers(len(best_edges)))]
+    return best_edges

@@ -31,14 +31,19 @@ def remove_identity_gates(circuit: QuantumCircuit) -> QuantumCircuit:
     return out
 
 
-def elide_input_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
+def elide_input_swaps(
+    circuit: QuantumCircuit,
+) -> tuple[QuantumCircuit, list[int]]:
     """Remove SWAP gates from the input program by relabelling wires.
 
     Every SWAP in the source circuit is absorbed into a virtual-qubit
-    permutation applied to all later gates; the resulting circuit computes
-    the same unitary up to a final wire permutation, which is irrelevant for
-    routing-quality comparisons (and is how Qiskit's ``RemoveSwap``-style
-    cleaning behaves before SABRE runs).
+    permutation applied to all later gates (an input SWAP never needs to be
+    executed — only routing-inserted SWAPs cost pulses).  The returned
+    circuit computes the same unitary up to that final wire permutation.
+
+    Returns:
+        ``(circuit, permutation)``: ``permutation[q]`` is the wire of the
+        returned circuit that holds input qubit ``q``'s state at the end.
     """
     permutation = list(range(circuit.num_qubits))
     out = QuantumCircuit(circuit.num_qubits, circuit.name)
@@ -50,13 +55,18 @@ def elide_input_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
         out.append(
             instruction.gate, [permutation[q] for q in instruction.qubits]
         )
-    return out
+    return out, permutation
 
 
 def clean_input(circuit: QuantumCircuit, *, elide_swaps: bool = True) -> QuantumCircuit:
-    """Full input-cleaning pipeline used by the preset pass managers."""
+    """Full input-cleaning pipeline used by the preset pass managers.
+
+    The permutation absorbed by :func:`elide_input_swaps` is dropped here;
+    the transpilation pipeline's clean stages record it instead (see
+    :class:`repro.core.pipeline.CleanInputPass`).
+    """
     cleaned = remove_directives(circuit)
     cleaned = remove_identity_gates(cleaned)
     if elide_swaps:
-        cleaned = elide_input_swaps(cleaned)
+        cleaned, _ = elide_input_swaps(cleaned)
     return cleaned

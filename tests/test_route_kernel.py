@@ -13,17 +13,28 @@ Covers the PR-6 guarantees:
   boundary (reset-on-execute vs. reset-on-interval must interleave
   identically in both kernels);
 * the per-gate mirror table (equal to the scalar coordinate/mirror/cost
-  chain, never pickled) and the lazily built routed DAG.
+  chain, never pickled) and the lazily built routed DAG;
+* the compiled SWAP scorer: the same tied-best edges as the Python float
+  scorer, identity with the object router when it is unavailable, and a
+  build cache that rebuilds corrupt files, never loads files another user
+  could have written, and never raises.
 """
 
 import hashlib
+import os
 import pickle
+import shutil
+import tempfile
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TranspilerError
-from repro.circuits.circuit import random_two_qubit_block_circuit
+from repro.circuits.circuit import QuantumCircuit, random_two_qubit_block_circuit
 from repro.circuits.dag import DAGCircuit
 from repro.circuits.library import TABLE_III_SUITE, ghz, qft, twolocal_full
 from repro.core import MirageSwap, transpile
@@ -39,11 +50,13 @@ from repro.transpiler import (
 )
 from repro.transpiler.kernel import (
     IntDAG,
+    KernelState,
     adopt_intdag,
     int_dag,
     neighbor_table,
     route_kernel_mode,
 )
+from repro.transpiler.kernel import native, route
 from repro.transpiler.metrics import gate_coordinate
 from repro.transpiler.passes import (
     DepthMetric,
@@ -616,3 +629,226 @@ def test_kept_routing_builds_dag_only_when_read(monkeypatch, metric, built):
     assert isinstance(outcome.routing.routed, DAGCircuit) == built
     clone = pickle.loads(pickle.dumps(outcome.routing))
     assert _routing_stream(clone) == _routing_stream(outcome.routing)
+
+
+# ---------------------------------------------------------------------------
+# Compiled SWAP scorer: equal to the Python scorer, and a loader that never
+# raises
+# ---------------------------------------------------------------------------
+
+SCORER_TOPOLOGIES = {
+    "grid33": grid_topology(3, 3),
+    "grid55": grid_topology(5, 5),
+    "hh57": heavy_hex_topology(57),
+    "line8": line_topology(8),
+    "ring8": ring_topology(8),
+}
+
+needs_native = pytest.mark.skipif(
+    native.scorer() is None, reason="no C compiler: the compiled scorer is unavailable"
+)
+
+
+def _spy(function, calls):
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    return spy
+
+
+@st.composite
+def _stall(draw, coupling):
+    """A random stall: layout, circuit, front, lookahead window and decay.
+
+    About half of the gates sit on a coupling edge under the layout, so
+    lookahead pairs that are already adjacent occur often.
+    """
+    num_physical = coupling.num_qubits
+    num_virtual = draw(st.integers(2, num_physical))
+    v2p = draw(st.permutations(range(num_physical)))[:num_virtual]
+    p2v = {physical: virtual for virtual, physical in enumerate(v2p)}
+    mapped_edges = [
+        (p2v[a], p2v[b]) for a, b in sorted(set(coupling.edges)) if a in p2v and b in p2v
+    ]
+    pair = st.lists(st.integers(0, num_virtual - 1), min_size=2, max_size=2,
+                     unique=True).map(tuple)
+    if mapped_edges:
+        pair = st.one_of(pair, st.sampled_from(mapped_edges))
+    gates = draw(st.lists(pair, min_size=1, max_size=30))
+    circuit = QuantumCircuit(num_virtual)
+    for a, b in gates:
+        circuit.cx(a, b)
+    nodes = range(len(gates))
+    front = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=6, unique=True))
+    extended = draw(st.lists(st.sampled_from(nodes), max_size=20, unique=True))
+    decay = draw(st.lists(st.sampled_from([1.0, 1.001, 1.002, 1.5]),
+                          min_size=num_physical, max_size=num_physical))
+    weight = draw(st.sampled_from([0.5, 0.0, 1.0, 0.3]))
+    return circuit, list(v2p), front, extended, array("d", decay), weight
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(SCORER_TOPOLOGIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_native_scorer_matches_python_scorer(name, data):
+    """The compiled scorer's tied-best edges (before the draw) equal the
+    Python float scorer's, in the same order."""
+    coupling = SCORER_TOPOLOGIES[name]
+    circuit, v2p, front, extended, decay, weight = data.draw(_stall(coupling))
+    intdag, table = int_dag(circuit.to_dag()), neighbor_table(coupling)
+    state = KernelState(intdag, table, v2p, 20)
+    scorer = native.bind(table, intdag)
+    native_best = scorer.best_edges(v2p, front, extended, decay, weight)
+    python_best = route._best_edges_float(state, front, extended, decay, weight)
+    assert native_best == python_best
+    assert native_best  # connected maps always have a finite best score
+
+
+@pytest.mark.parametrize(
+    "test, kwargs",
+    [
+        (test_pinned_digest, {}),
+        (test_direct_router_identity_with_aggressions, {}),
+        (test_flat_object_identity_across_executors, {"method": "mirage", "executor": "serial"}),
+        (test_flat_object_identity_across_executors, {"method": "sabre", "executor": "threads"}),
+        (test_decay_reset_boundary_identity, {"interval": 2}),
+        (test_property_random_dag_coupling_seed_identity, {"case": 0}),
+    ],
+    ids=["pinned", "aggressions", "mirage-serial", "sabre-threads", "decay", "random"],
+)
+def test_flat_object_identity_without_native_scorer(monkeypatch, test, kwargs):
+    """With the compiled scorer unavailable, the Python float scorer keeps
+    the flat kernel byte-identical to the object router."""
+    monkeypatch.setattr(native, "scorer", lambda: None)
+    calls = []
+    monkeypatch.setattr(route, "_best_edges_float", _spy(route._best_edges_float, calls))
+    test(monkeypatch, **kwargs)
+    assert calls
+
+
+@needs_native
+@pytest.mark.parametrize("method", ["sabre", "mirage"])
+def test_native_run_leaves_pickles_unchanged(monkeypatch, method):
+    """The scorer's memoised arrays live beside the IntDAG and the
+    NeighborTable, never on them."""
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    coupling = grid_topology(3, 3)
+    dag = _routing_input(qft(7))
+    lowered = int_dag(dag)
+    table = neighbor_table(coupling)
+    before = (pickle.dumps(lowered), pickle.dumps(table))
+    calls = []
+    monkeypatch.setattr(native.Scorer, "best_edges", _spy(native.Scorer.best_edges, calls))
+    router = (
+        SabreSwap(coupling) if method == "sabre"
+        else MirageSwap(coupling, coverage=COVERAGE, aggression=2)
+    )
+    result = router.run(dag, Layout.trivial(7, 9), seed=4)
+    assert result.swaps_added > 0 and calls  # the compiled scorer ran
+    assert (pickle.dumps(lowered), pickle.dumps(table)) == before
+
+
+def test_native_scorer_loads_when_a_compiler_is_found():
+    """Where ``cc`` exists the compiled scorer must load, so a broken
+    build cannot silently fall back to the slower Python scorer."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert native.scorer() is not None
+    assert native.load_scorer() is not None
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh scorer build cache, with the loader's compiler checked."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("MIRAGE_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("MIRAGE_CACHE_DISABLE", raising=False)
+    return tmp_path / "native"
+
+
+def _cached_library(cache_dir):
+    return cache_dir / f"score-{native.cache_key(shutil.which('cc'))}.so"
+
+
+def _opened_paths(monkeypatch):
+    opened = []
+    original = native._open
+    monkeypatch.setattr(native, "_open", lambda path: opened.append(Path(path)) or original(path))
+    return opened
+
+
+def test_loader_builds_into_the_cache_once(cache_dir, monkeypatch):
+    assert native.load_scorer() is not None
+    library = _cached_library(cache_dir)
+    assert library.is_file() and native._trusted(library)
+    assert [p.name for p in cache_dir.iterdir()] == [library.name]  # no temp left
+    builds = []
+    monkeypatch.setattr(native, "_compile", _spy(native._compile, builds))
+    assert native.load_scorer() is not None
+    assert not builds  # the second load reuses the cached build
+
+
+@pytest.mark.parametrize("content", [b"", b"not a shared library"], ids=["empty", "garbage"])
+def test_loader_rebuilds_a_corrupt_cached_library(cache_dir, monkeypatch, content):
+    library = _cached_library(cache_dir)
+    cache_dir.mkdir(parents=True)
+    library.write_bytes(content)
+    library.chmod(0o755)
+    builds = []
+    monkeypatch.setattr(native, "_compile", _spy(native._compile, builds))
+    assert native.load_scorer() is not None
+    assert len(builds) == 1
+    assert library.stat().st_size > len(content)
+
+
+def test_loader_falls_back_when_the_rebuild_fails(cache_dir, monkeypatch):
+    library = _cached_library(cache_dir)
+    cache_dir.mkdir(parents=True)
+    library.write_bytes(b"garbage")
+    library.chmod(0o755)
+    monkeypatch.setattr(native, "_compile", lambda compiler, directory: None)
+    assert native.load_scorer() is None
+    assert not library.exists()
+
+
+def test_loader_without_a_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("MIRAGE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    assert native.load_scorer() is None
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode", [0o775, 0o757], ids=["group-writable", "world-writable"])
+def test_loader_never_loads_a_writable_cached_library(cache_dir, monkeypatch, mode):
+    assert native.load_scorer() is not None
+    library = _cached_library(cache_dir)
+    library.chmod(mode)
+    opened = _opened_paths(monkeypatch)
+    assert native.load_scorer() is not None  # built privately instead
+    assert opened and library not in opened
+    assert library.stat().st_mode & 0o777 == mode  # left alone
+
+
+def test_loader_never_loads_a_foreign_cached_library(cache_dir, monkeypatch):
+    assert native.load_scorer() is not None
+    library = _cached_library(cache_dir)
+    uid = os.getuid()
+    monkeypatch.setattr(native.os, "getuid", lambda: uid + 1)
+    opened = _opened_paths(monkeypatch)
+    assert native.load_scorer() is not None
+    assert opened and library not in opened
+
+
+def test_loader_with_cache_disabled_builds_in_a_removed_temp_dir(cache_dir, monkeypatch):
+    monkeypatch.setenv("MIRAGE_CACHE_DISABLE", "1")
+    made = []
+    original = tempfile.mkdtemp
+    monkeypatch.setattr(native.tempfile, "mkdtemp",
+                        lambda **kwargs: made.append(original(**kwargs)) or made[-1])
+    opened = _opened_paths(monkeypatch)
+    assert native.load_scorer() is not None
+    assert len(made) == 1 and not os.path.exists(made[0])
+    assert opened[0].parent == Path(made[0])
+    assert not cache_dir.exists()

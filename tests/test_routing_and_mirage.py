@@ -240,6 +240,76 @@ def test_transpile_vf2_short_circuit():
     assert result.swaps_added == 0
 
 
+def _matches_input_unitary(result, circuit) -> bool:
+    """Whether ``result.circuit`` implements ``circuit`` on the device.
+
+    Input qubit ``q`` starts on physical ``initial_layout.v2p(q)`` and ends
+    on ``final_layout.v2p(output_permutation[q])``; every other physical
+    qubit starts in |0>, so only those columns of the routed unitary are
+    compared (ancilla wires may be permuted among themselves).
+    """
+    width = result.circuit.num_qubits
+    start = [result.initial_layout.v2p(q) for q in range(circuit.num_qubits)]
+    end = [
+        result.final_layout.v2p(result.output_permutation[q])
+        for q in range(circuit.num_qubits)
+    ]
+    # Expected: the input at its start positions, then a wire permutation
+    # carrying start[q] to end[q] (ancillas fill the remaining slots).
+    expected = circuit.remap(start, width)
+    free_starts = [p for p in range(width) if p not in start]
+    free_ends = [p for p in range(width) if p not in end]
+    destination = dict(zip(start + free_starts, end + free_ends))
+    where = list(range(width))  # where[p]: current wire of the content from p
+    for source in range(width):
+        target = destination[source]
+        current = where[source]
+        if current != target:
+            expected.swap(current, target)
+            other = where.index(target)
+            where[other], where[source] = current, target
+    columns = [
+        index
+        for index in range(2**width)
+        if all(not (index >> (width - 1 - p)) & 1 for p in free_starts)
+    ]
+    probe = QuantumCircuit(width)
+    probe.x(0)
+    if probe.to_matrix()[1, 0] != 0:  # little-endian qubit order
+        columns = [
+            index
+            for index in range(2**width)
+            if all(not (index >> p) & 1 for p in free_starts)
+        ]
+    return equal_up_to_global_phase(
+        result.circuit.to_matrix()[:, columns],
+        expected.to_matrix()[:, columns],
+        atol=1e-6,
+    )
+
+
+@pytest.mark.parametrize("num_qubits", [4, 5, 6])
+@pytest.mark.parametrize("method", ["sabre", "mirage"])
+def test_transpile_records_input_swap_permutation(num_qubits, method):
+    """QFT ends in input SWAPs; with the recorded permutation the routed
+    circuit equals the input unitary (up to layouts) on the 3x3 lattice."""
+    circuit = qft(num_qubits)
+    assert "swap" in circuit.count_ops()
+    result = transpile(circuit, grid_topology(3, 3), method=method,
+                       coverage=COVERAGE, layout_trials=2, seed=7)
+    assert result.method == method
+    assert sorted(result.output_permutation) == list(range(num_qubits))
+    assert result.output_permutation != list(range(num_qubits))
+    assert _matches_input_unitary(result, circuit)
+
+
+def test_output_permutation_is_identity_without_input_swaps():
+    result = transpile(qft(4, do_swaps=False), grid_topology(3, 3),
+                       coverage=COVERAGE, layout_trials=2, seed=7)
+    assert result.output_permutation == [0, 1, 2, 3]
+    assert _matches_input_unitary(result, qft(4, do_swaps=False))
+
+
 def test_transpile_validation_errors():
     with pytest.raises(TranspilerError):
         transpile(ghz(4), line_topology(3), seed=1)

@@ -164,9 +164,10 @@ def test_remove_identity_and_directives():
 def test_elide_input_swaps_permutes_downstream():
     circuit = QuantumCircuit(3)
     circuit.cx(0, 1).swap(0, 2).cx(0, 1)
-    elided = elide_input_swaps(circuit)
+    elided, permutation = elide_input_swaps(circuit)
     assert "swap" not in elided.count_ops()
     assert elided.instructions[1].qubits == (2, 1)
+    assert permutation == [2, 1, 0]
 
 
 def test_unroll_toffoli_matches_matrix():
