@@ -7,7 +7,10 @@ outputs are element-wise / byte-for-byte identical while timing both:
 * ``coverage_cost``   — ``CoverageSet.cost_of`` loop vs ``cost_of_many``.
 * ``weyl``            — per-candidate Python loop vs ``weyl_coordinates_many``.
 * ``swap_choice``     — copy-layout-and-rescore SWAP selection vs the
-                        incremental delta scoring, timed inside the router.
+                        incremental delta scoring, timed inside the object
+                        router (``MIRAGE_ROUTE_KERNEL=object``, where
+                        ``_choose_swap`` runs), plus the default flat
+                        kernel's whole route for comparison.
 * ``coverage_cache``  — cold coverage build vs warm load from the persistent
                         disk cache (isolated in a temporary ``MIRAGE_CACHE_DIR``).
 
@@ -198,6 +201,20 @@ def bench_weyl(num_unitaries: int) -> dict:
     }
 
 
+def _route_object(router: SabreSwap, dag, layout: Layout):
+    """Route with the object router, whose ``_choose_swap`` the timed
+    routers override; the default flat kernel never calls it."""
+    previous = os.environ.get("MIRAGE_ROUTE_KERNEL")
+    os.environ["MIRAGE_ROUTE_KERNEL"] = "object"
+    try:
+        return router.run(dag, layout, seed=3)
+    finally:
+        if previous is None:
+            os.environ.pop("MIRAGE_ROUTE_KERNEL", None)
+        else:
+            os.environ["MIRAGE_ROUTE_KERNEL"] = previous
+
+
 def bench_swap_choice(width: int) -> dict:
     coupling = topology_by_name("square", width)
     circuit = benchmark_circuit("qft", width)
@@ -206,28 +223,37 @@ def bench_swap_choice(width: int) -> dict:
 
     full = _FullRescoreSwap(coupling, seed=3)
     start = time.perf_counter()
-    full_result = full.run(dag, layout.copy(), seed=3)
+    full_result = _route_object(full, dag, layout.copy())
     full_seconds = time.perf_counter() - start
 
     delta = _TimedDeltaSwap(coupling, seed=3)
     start = time.perf_counter()
-    delta_result = delta.run(dag, layout.copy(), seed=3)
+    delta_result = _route_object(delta, dag, layout.copy())
     delta_seconds = time.perf_counter() - start
 
+    flat = SabreSwap(coupling, seed=3)
+    start = time.perf_counter()
+    flat_result = flat.run(dag, layout.copy(), seed=3)
+    flat_seconds = time.perf_counter() - start
+
+    digests = {
+        circuit_digest(result.dag.to_circuit())
+        for result in (full_result, delta_result, flat_result)
+    }
+    swaps = {
+        result.swaps_added for result in (full_result, delta_result, flat_result)
+    }
     return {
         "width": width,
         "swaps": delta_result.swaps_added,
         "full_route_s": full_seconds,
         "delta_route_s": delta_seconds,
+        "flat_route_s": flat_seconds,
         "full_choose_s": full.choose_seconds,
         "delta_choose_s": delta.choose_seconds,
         "choose_speedup": full.choose_seconds / delta.choose_seconds,
         "route_speedup": full_seconds / delta_seconds,
-        "equal": bool(
-            full_result.swaps_added == delta_result.swaps_added
-            and circuit_digest(full_result.dag.to_circuit())
-            == circuit_digest(delta_result.dag.to_circuit())
-        ),
+        "equal": len(digests) == 1 and len(swaps) == 1,
     }
 
 

@@ -19,7 +19,9 @@ layout — data moves without any inserted SWAP gate, which is exactly the
 The three per-gate facts the decision needs — the gate's cost, its
 mirror's cost and its mirror's coordinate — depend only on the gate and
 the basis, never the layout.  The flat kernel therefore reads them from a
-:class:`MirrorTable` lowered once per ``IntDAG`` and coverage set.
+:class:`MirrorTable` lowered once per ``IntDAG`` and coverage set; its
+compiled loop makes the whole decision from the table's costs and the
+aggression level, with no call back into Python.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from repro.circuits.gates import UnitaryGate
 from repro.core.aggression import Aggression, accept_mirror
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
-from repro.transpiler.kernel import IntDAG, KernelState, int_dag
+from repro.transpiler.kernel import IntDAG, KernelState, MirrorDecision
 from repro.transpiler.layout import Layout
 from repro.transpiler.metrics import gate_coordinate, node_coordinate
-from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
+from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import CouplingMap
 from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
 
@@ -54,11 +56,13 @@ class MirrorTable:
 
     Every value equals what the scalar ``gate_coordinate`` →
     ``mirror_coordinate`` → ``cost_of`` chain gives for that gate.  The
-    costs are python lists because the commit hook reads two of them per
-    candidate, and scalar list indexing is several times faster than
-    ndarray indexing; a mirror coordinate is read only when a mirror is
-    accepted, to build the mirror gate.  The table lives as long as its ``IntDAG``; in a worker
-    that is as long as the payload memo keeps the payload.
+    compiled routing loop reads the costs as ``double`` arrays; they are
+    python lists for the Python loop's commit hook, where scalar list
+    indexing is several times faster than ndarray indexing.  A mirror
+    coordinate is read only when a routed DAG with an accepted mirror is
+    built.  The table lives as long as its ``IntDAG`` (and the routed op
+    streams that reference it); in a worker that is as long as the
+    payload memo keeps the payload.
     """
 
     cost: list[float]
@@ -97,6 +101,12 @@ class MirrorTable:
             mirror_cost=mirror_cost.tolist(),
             mirror_coordinates=mirrored,
         )
+
+    def mirror_gate(self, gate, gate_id: int) -> UnitaryGate:
+        """The mirror of ``gate`` (row ``gate_id``), built from the table's
+        coordinate."""
+        coordinate = tuple(self.mirror_coordinates[gate_id].tolist())
+        return MirageSwap._mirror_gate(gate, coordinate)
 
 
 def mirror_table(intdag: IntDAG, coverage: CoverageSet) -> MirrorTable:
@@ -188,26 +198,29 @@ class MirageSwap(SabreSwap):
 
     # -- the intermediate layer, flat-kernel twin ---------------------------
 
-    def _run_flat(
-        self,
-        dag: DAGCircuit,
-        initial_layout: Layout,
-        rng: np.random.Generator,
-    ) -> RoutingResult:
-        """Flat-kernel routing that reads this lowering's mirror table."""
-        self._mirror_table = mirror_table(int_dag(dag), self.coverage)
-        return super()._run_flat(dag, initial_layout, rng)
+    def _flat_mirror(self, intdag: IntDAG) -> MirrorDecision:
+        """This lowering's mirror table and the decision's parameters.
+
+        The compiled routing loop makes the decision from these alone; the
+        Python loop calls :meth:`_commit_two_qubit_flat`, which reads the
+        same table.
+        """
+        self._mirror_table = mirror_table(intdag, self.coverage)
+        return MirrorDecision(
+            self._mirror_table, int(self.aggression), self.decomposition_weight
+        )
 
     def _commit_two_qubit_flat(
         self, state: KernelState, node_id: int, physical: tuple[int, int]
     ) -> None:
         """Mirror decision over flat kernel state (same arithmetic, same
-        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`).
+        acceptance, byte-identical outputs as :meth:`_commit_two_qubit`
+        and as the compiled loop).
 
         The decomposition terms come from the run's :class:`MirrorTable`;
         only the routing terms depend on the layout.
         """
-        self._stats["candidates"] += 1
+        state.mirror_candidates += 1
 
         gate_id = state.gate_id(node_id)
         table = self._mirror_table
@@ -226,19 +239,10 @@ class MirageSwap(SabreSwap):
         )
 
         if accept_mirror(cost_current, cost_trial, self.aggression):
-            self._stats["mirrors"] += 1
-            mirrored_coordinate = tuple(
-                table.mirror_coordinates[gate_id].tolist()
-            )
-            state.ops.append(
-                (
-                    self._mirror_gate(state.gate(node_id), mirrored_coordinate),
-                    physical,
-                )
-            )
-            state.swap_physical(*physical)
+            state.mirrors_accepted += 1
+            state.emit_mirror(node_id, physical)
         else:
-            state.emit(node_id, physical)
+            state.emit(node_id)
 
     def _mirror_routing_costs_flat(
         self,

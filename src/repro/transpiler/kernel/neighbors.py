@@ -1,7 +1,7 @@
 """``NeighborTable``: flat adjacency + integer hop distances of a coupling map.
 
-Extends the integer-valued hop distances the scorer already relies on with
-the index structures the flat kernel gathers over:
+Extends the integer-valued hop distances SWAP scoring relies on with the
+index structures the flat kernel gathers over:
 
 * CSR neighbour lists (sorted, matching ``CouplingMap.neighbors``);
 * the lexicographically sorted undirected edge list as two parallel int
@@ -10,7 +10,7 @@ the index structures the flat kernel gathers over:
 * a per-qubit incident-edge index, so ``_swap_candidates`` is set-union of
   precomputed tuples instead of per-stall neighbour walks;
 * ``dist_int``: the hop-distance matrix as ``int64`` (``-1`` where
-  unreachable), which the compiled SWAP scorer reads on connected graphs,
+  unreachable), which the compiled routing loop reads on connected graphs,
   next to the float matrix (shared with ``CouplingMap.distance_matrix``)
   used verbatim when infinities are possible.
 

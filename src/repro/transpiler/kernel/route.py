@@ -1,22 +1,31 @@
 """``build_swap_map``-style flat routing loop.
 
-:func:`route_kernel` walks an :class:`~repro.transpiler.kernel.intdag.IntDAG`
-with a :class:`~repro.transpiler.kernel.neighbors.NeighborTable`, keeping all
-per-run state — layout, in-degrees, decay — in flat int/float containers.
+:func:`route_kernel` routes an :class:`~repro.transpiler.kernel.intdag.IntDAG`
+over a :class:`~repro.transpiler.kernel.neighbors.NeighborTable` and
+returns a :class:`KernelState`: the final layout, the SWAP count, the
+mirror counts and an int event stream — ``2 * node + mirrored`` per
+executed node, ``-(1 + a * num_qubits + b)`` per SWAP on edge ``(a, b)`` —
+from which :class:`~repro.transpiler.passes.sabre_swap.RoutedOps` replays
+the routed gates when, and only when, someone reads the routed DAG.
 
-At a stall, :func:`_choose_swap` scores every candidate SWAP edge.  On
-connected coupling maps the scoring runs in one small compiled C function
-(``_score.c``, built and loaded by :mod:`repro.transpiler.kernel.native`);
-Python converts the layout, the front and the lookahead window to int
-arrays and gets back the tied-best edge ids.  Disconnected maps, and hosts
-where no C compiler is found, use the Python float scorer
-:func:`_best_edges_float`.  Both compute the object router's score
-expressions and tolerance tie-break term for term — hop distances are
-integers, so the window sums are exact — and both keep the tied-best edges
-in candidate order.  The single ``rng.integers`` draw among them stays in
-Python and happens in the same position of the per-trial ``SeedSequence``
-stream, so fixed-seed outputs are byte-identical to
-``MIRAGE_ROUTE_KERNEL=object`` with or without the compiled scorer.
+On connected coupling maps the whole run is one call into the compiled
+loop ``mirage_route`` (``_route.c``, built and loaded by
+:mod:`repro.transpiler.kernel.native`): front advance, the lookahead BFS,
+SWAP scoring, decay, the tie-break draw and, for MIRAGE, the mirror
+decision all run in C, so a stall never crosses from Python into C.  The
+tie-break draw calls the trial generator's own ``next_uint32`` with
+numpy's bounded-integer algorithm, so the generator is left exactly as
+``rng.integers`` would leave it.
+
+The Python loop below is the single fallback: disconnected maps, hosts
+without a C compiler, and bit-generator types whose C draw failed the
+once-per-process probe.  It calls the router's ``commit`` hook for every
+executable two-qubit gate and scores stalls with :func:`_best_edges_float`.
+Both loops compute the object router's score expressions and tolerance
+tie-break term for term — hop distances are integers, so the window sums
+are exact — keep tied-best edges in candidate order and draw once per
+stall, so fixed-seed outputs are byte-identical to each other and to
+``MIRAGE_ROUTE_KERNEL=object``.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 import os
 from array import array
 from collections import deque
-from typing import Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,13 +60,26 @@ def route_kernel_mode() -> str:
     )
 
 
-class KernelState:
-    """Mutable flat state of one routing run — the commit hooks' view.
+class MirrorDecision(NamedTuple):
+    """What the compiled loop needs to make MIRAGE's mirror decision.
 
-    ``MirageSwap``'s intermediate layer runs against this object: it reads
-    gates by int id, queries the lookahead window as physical-qubit pairs,
-    appends to ``ops`` and applies virtual swaps, never touching ``DAGNode``
-    or ``Layout`` objects.
+    ``table`` has per-gate-id ``cost`` and ``mirror_cost`` sequences (a
+    :class:`~repro.core.mirage_pass.MirrorTable`).
+    """
+
+    table: Any
+    aggression: int
+    decomposition_weight: float
+
+
+class KernelState:
+    """Flat state of one routing run — the commit hooks' view and the result.
+
+    ``MirageSwap``'s intermediate layer runs against this object in the
+    Python loop: it reads gates by int id, queries the lookahead window as
+    physical-qubit pairs, appends events and applies virtual swaps, never
+    touching ``DAGNode`` or ``Layout`` objects.  After a compiled run it
+    holds the C loop's layout, events and counts.
     """
 
     __slots__ = (
@@ -65,8 +87,10 @@ class KernelState:
         "table",
         "v2p",
         "p2v",
-        "ops",
+        "events",
         "swaps_added",
+        "mirror_candidates",
+        "mirrors_accepted",
         "extended_set_size",
         "_lists",
     )
@@ -84,8 +108,10 @@ class KernelState:
         self.p2v = [-1] * table.num_qubits
         for virtual, physical in enumerate(self.v2p):
             self.p2v[physical] = virtual
-        self.ops: list[tuple[Gate, tuple[int, ...]]] = []
+        self.events = array("i")
         self.swaps_added = 0
+        self.mirror_candidates = 0
+        self.mirrors_accepted = 0
         self.extended_set_size = extended_set_size
         self._lists = intdag.lists()
 
@@ -95,11 +121,20 @@ class KernelState:
         """Index of the node's gate in ``intdag.gates``."""
         return self._lists.gate_ids[node_id]
 
-    def gate(self, node_id: int) -> Gate:
-        return self.intdag.gates[self._lists.gate_ids[node_id]]
+    def emit(self, node_id: int) -> None:
+        """Record the node as executed, as it is."""
+        self.events.append(2 * node_id)
 
-    def emit(self, node_id: int, physical: tuple[int, ...]) -> None:
-        self.ops.append((self.gate(node_id), physical))
+    def emit_mirror(self, node_id: int, physical: tuple[int, int]) -> None:
+        """Record the node as executed as its mirror, and apply the mirror's
+        virtual swap of the two physical qubits."""
+        self.events.append(2 * node_id + 1)
+        self.swap_physical(*physical)
+
+    def emit_swap(self, physical_a: int, physical_b: int) -> None:
+        """Record a SWAP gate on the edge ``(a, b)``, and apply it."""
+        self.events.append(-(1 + physical_a * self.table.num_qubits + physical_b))
+        self.swap_physical(physical_a, physical_b)
 
     def swap_physical(self, physical_a: int, physical_b: int) -> None:
         v2p, p2v = self.v2p, self.p2v
@@ -173,30 +208,55 @@ def route_kernel(
     decay_reset_interval: int,
     stall_limit: int,
     commit: Callable[[KernelState, int, tuple[int, int]], None],
+    mirror: MirrorDecision | None = None,
 ) -> KernelState:
     """Route one lowered circuit; returns the finished :class:`KernelState`.
 
-    ``commit`` is called for every executable two-qubit gate with
-    ``(state, node_id, physical_pair)`` — the flat twin of the object
-    path's ``_commit_two_qubit`` hook.
+    The compiled loop runs the whole route when it can (see the module
+    docstring); it makes ``mirror``'s decision itself (``None``: SABRE).
+    Otherwise the Python loop calls ``commit`` for every executable
+    two-qubit gate with ``(state, node_id, physical_pair)`` — the flat twin
+    of the object path's ``_commit_two_qubit`` hook.
     """
     state = KernelState(intdag, table, initial_v2p, extended_set_size)
+    routed = native.route(
+        intdag,
+        table,
+        state.v2p,
+        rng,
+        extended_set_size=extended_set_size,
+        extended_set_weight=extended_set_weight,
+        decay_delta=decay_delta,
+        decay_reset_interval=decay_reset_interval,
+        stall_limit=stall_limit,
+        mirror=mirror,
+    )
+    if routed is not None:
+        (
+            state.v2p,
+            state.events,
+            state.swaps_added,
+            state.mirror_candidates,
+            state.mirrors_accepted,
+        ) = routed
+        state.p2v = [-1] * table.num_qubits
+        for virtual, physical in enumerate(state.v2p):
+            state.p2v[physical] = virtual
+        return state
+
     lists = state._lists
     qubit0 = lists.qubit0
     qubit1 = lists.qubit1
     kind = lists.kind
-    qubit_tuples = lists.qubit_tuples
-    gate_ids = lists.gate_ids
-    gates = intdag.gates
     succ_tuples = lists.succ_tuples
     indegree = list(lists.indegree)
     adjacency = table.adjacency()
-    v2p = state.v2p
-    ops = state.ops
-
-    scorer = native.bind(table, intdag)
+    edges_a, edges_b = table.edge_lists()
     num_physical = table.num_qubits
-    decay = array("d", [1.0]) * num_physical
+    v2p = state.v2p
+    events = state.events
+
+    decay = [1.0] * num_physical
     decay_dirty = False
     decay_steps = 0
     stall_counter = 0
@@ -217,8 +277,7 @@ def route_kernel(
                     still_blocked.append(node_id)
                     continue
             elif node_kind == KIND_FREE:
-                physical = tuple(v2p[q] for q in qubit_tuples[node_id])
-                ops.append((gates[gate_ids[node_id]], physical))
+                events.append(2 * node_id)
             else:
                 raise TranspilerError(
                     "router requires gates with at most two qubits"
@@ -231,7 +290,7 @@ def route_kernel(
         front = still_blocked
         if executed_any:
             if decay_dirty:
-                decay = array("d", [1.0]) * num_physical
+                decay = [1.0] * num_physical
                 decay_dirty = False
             decay_steps = 0
             stall_counter = 0
@@ -249,17 +308,16 @@ def route_kernel(
             raise TranspilerError("router failed to make progress")
         if extended_cache is None:
             extended_cache = state.extended_ids(front)
-        edge = _choose_swap(
-            state, front, extended_cache, decay, rng, extended_set_weight, scorer
-        )
-        ops.append((Gate("swap", 2), edge))
-        state.swap_physical(*edge)
-        decay[edge[0]] += decay_delta
-        decay[edge[1]] += decay_delta
+        edge = _choose_swap(state, front, extended_cache, decay, rng, extended_set_weight)
+        edge_a = edges_a[edge]
+        edge_b = edges_b[edge]
+        state.emit_swap(edge_a, edge_b)
+        decay[edge_a] += decay_delta
+        decay[edge_b] += decay_delta
         decay_dirty = True
         decay_steps += 1
         if decay_steps >= decay_reset_interval:
-            decay = array("d", [1.0]) * num_physical
+            decay = [1.0] * num_physical
             decay_dirty = False
             decay_steps = 0
         state.swaps_added += 1
@@ -267,27 +325,68 @@ def route_kernel(
     return state
 
 
+def replay(
+    intdag: IntDAG,
+    num_qubits: int,
+    initial_v2p: list[int],
+    events: Sequence[int],
+    mirror_gate: Callable[[Gate, int], Gate] | None,
+) -> list[tuple[Gate, tuple[int, ...]]]:
+    """The routed ``(gate, physical qubits)`` list of an event stream.
+
+    Replays the layout from ``initial_v2p``; a mirrored node's gate is
+    ``mirror_gate(gate, gate_id)``.
+    """
+    lists = intdag.lists()
+    gates = intdag.gates
+    gate_ids = lists.gate_ids
+    qubit_tuples = lists.qubit_tuples
+    v2p = list(initial_v2p)
+    p2v = [-1] * num_qubits
+    for virtual, physical in enumerate(v2p):
+        p2v[physical] = virtual
+
+    def swap(a: int, b: int) -> None:
+        va, vb = p2v[a], p2v[b]
+        if va >= 0:
+            v2p[va] = b
+        if vb >= 0:
+            v2p[vb] = a
+        p2v[a], p2v[b] = vb, va
+
+    ops: list[tuple[Gate, tuple[int, ...]]] = []
+    for event in events.tolist():
+        if event < 0:
+            edge = divmod(-event - 1, num_qubits)
+            ops.append((Gate("swap", 2), edge))
+            swap(*edge)
+            continue
+        node_id = event >> 1
+        physical = tuple(v2p[q] for q in qubit_tuples[node_id])
+        gate_id = gate_ids[node_id]
+        if event & 1:
+            ops.append((mirror_gate(gates[gate_id], gate_id), physical))
+            swap(*physical)
+        else:
+            ops.append((gates[gate_id], physical))
+    return ops
+
+
 def _choose_swap(
     state: KernelState,
     front: list[int],
     extended: list[int],
-    decay: array,
+    decay: list[float],
     rng: np.random.Generator,
     extended_set_weight: float,
-    scorer: native.Scorer | None,
-) -> tuple[int, int]:
-    """Pick the SWAP edge, byte-compatible with the object ``_choose_swap``.
+) -> int:
+    """Pick the SWAP edge id, byte-compatible with the object ``_choose_swap``.
 
-    ``scorer`` is the run's compiled scorer (connected coupling maps on
-    hosts with a C compiler); otherwise :func:`_best_edges_float` scores.
-    Both return the same tied-best edges in candidate order, and the single
-    RNG draw among them happens in the same position of the per-trial
-    stream as on the object path.
+    The tied-best edges come in candidate order, and the single RNG draw
+    among them happens in the same position of the per-trial stream as on
+    the object path and in the compiled loop.
     """
-    if scorer is not None:
-        best = scorer.best_edges(state.v2p, front, extended, decay, extended_set_weight)
-    else:
-        best = _best_edges_float(state, front, extended, decay, extended_set_weight)
+    best = _best_edges_float(state, front, extended, decay, extended_set_weight)
     if not best:
         raise TranspilerError(
             "cannot route: some target qubits are unreachable on this coupling map"
@@ -299,13 +398,12 @@ def _best_edges_float(
     state: KernelState,
     front: list[int],
     extended: list[int],
-    decay: array,
+    decay: list[float],
     extended_set_weight: float,
-) -> list[tuple[int, int]]:
-    """Tied-best edges in Python: float distances with inf propagation.
+) -> list[int]:
+    """Tied-best edge ids in Python: float distances with inf propagation.
 
-    The one Python scorer — disconnected coupling maps, and hosts without a
-    C compiler.  Mirrors the object path exactly: incremental per-edge
+    The Python loop's scorer.  Mirrors the object path exactly: incremental per-edge
     deltas over the window sums, and its direct-sum fallback once a window
     sum goes infinite (``inf - inf`` would poison the deltas).
     """
@@ -351,7 +449,7 @@ def _best_edges_float(
     edges_a_list, edges_b_list = table.edge_lists()
     empty: tuple = ()
     best_score = np.inf
-    best_edges: list[tuple[int, int]] = []
+    best_edges: list[int] = []
     for edge_id in sorted(candidate_ids):
         edge_a = edges_a_list[edge_id]
         edge_b = edges_b_list[edge_id]
@@ -407,7 +505,7 @@ def _best_edges_float(
         score = score * (decay_a if decay_a >= decay_b else decay_b)
         if score < best_score - 1e-12:
             best_score = score
-            best_edges = [(edge_a, edge_b)]
+            best_edges = [edge_id]
         elif abs(score - best_score) <= 1e-12:
-            best_edges.append((edge_a, edge_b))
+            best_edges.append(edge_id)
     return best_edges

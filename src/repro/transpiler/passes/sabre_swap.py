@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -24,12 +25,15 @@ from repro.circuits.dag import DAGCircuit, DAGNode
 from repro.circuits.gates import Gate
 from repro.linalg.random import _as_rng
 from repro.transpiler.kernel import (
+    IntDAG,
     KernelState,
+    MirrorDecision,
     int_dag,
     neighbor_table,
     route_kernel,
     route_kernel_mode,
 )
+from repro.transpiler.kernel.route import replay
 from repro.transpiler.layout import Layout
 from repro.transpiler.topologies import CouplingMap
 
@@ -42,15 +46,27 @@ DECAY_RESET_INTERVAL = 5
 
 @dataclasses.dataclass(frozen=True)
 class RoutedOps:
-    """The flat kernel's routed op stream, not yet built into a DAG."""
+    """The flat kernel's routed event stream, not yet built into a DAG.
+
+    ``events`` is :func:`~repro.transpiler.kernel.route_kernel`'s stream;
+    :meth:`to_dag` replays it from ``initial_v2p``, taking a mirrored
+    node's gate from ``mirrors.mirror_gate`` (MIRAGE's
+    :class:`~repro.core.mirage_pass.MirrorTable`).
+    """
 
     num_qubits: int
     name: str
-    ops: list[tuple[Gate, tuple[int, ...]]]
+    intdag: IntDAG
+    initial_v2p: list[int]
+    events: Sequence[int]
+    mirrors: Any = None
 
     def to_dag(self) -> DAGCircuit:
+        mirror_gate = None if self.mirrors is None else self.mirrors.mirror_gate
         out = DAGCircuit(self.num_qubits, self.name)
-        for gate, physical in self.ops:
+        for gate, physical in replay(
+            self.intdag, self.num_qubits, self.initial_v2p, self.events, mirror_gate
+        ):
             out.add_node(gate, physical)
         return out
 
@@ -155,11 +171,13 @@ class SabreSwap:
         rng: np.random.Generator,
     ) -> RoutingResult:
         """Flat-kernel routing over the lowered int arrays."""
-        self._stats = {"mirrors": 0, "candidates": 0}
+        intdag = int_dag(dag)
+        initial_v2p = initial_layout.virtual_to_physical()
+        mirror = self._flat_mirror(intdag)
         state = route_kernel(
-            int_dag(dag),
+            intdag,
             neighbor_table(self.coupling),
-            initial_layout.virtual_to_physical(),
+            initial_v2p,
             rng,
             extended_set_size=self.extended_set_size,
             extended_set_weight=self.extended_set_weight,
@@ -167,21 +185,35 @@ class SabreSwap:
             decay_reset_interval=self.decay_reset_interval,
             stall_limit=10 * max(10, self.coupling.num_qubits),
             commit=self._commit_two_qubit_flat,
+            mirror=mirror,
         )
         return RoutingResult(
-            routed=RoutedOps(self.coupling.num_qubits, dag.name, state.ops),
+            routed=RoutedOps(
+                self.coupling.num_qubits,
+                dag.name,
+                intdag,
+                initial_v2p,
+                state.events,
+                None if mirror is None else mirror.table,
+            ),
             initial_layout=initial_layout.copy(),
             final_layout=Layout(state.v2p, self.coupling.num_qubits),
             swaps_added=state.swaps_added,
-            mirrors_accepted=self._stats["mirrors"],
-            mirror_candidates=self._stats["candidates"],
+            mirrors_accepted=state.mirrors_accepted,
+            mirror_candidates=state.mirror_candidates,
         )
+
+    def _flat_mirror(self, intdag: IntDAG) -> MirrorDecision | None:
+        """The mirror decision the flat kernel makes per committed gate:
+        none for SABRE.  MIRAGE overrides this."""
+        return None
 
     def _commit_two_qubit_flat(
         self, state: KernelState, node_id: int, physical: tuple[int, int]
     ) -> None:
-        """Flat twin of :meth:`_commit_two_qubit`.  MIRAGE overrides this."""
-        state.emit(node_id, physical)
+        """Flat twin of :meth:`_commit_two_qubit`, called by the Python
+        loop.  MIRAGE overrides this."""
+        state.emit(node_id)
 
     def _run_object(
         self,

@@ -288,9 +288,17 @@ def test_run_trial_matches_legacy_task_form():
 
 
 class _ReferenceMirage(MirageSwap):
-    """The historical copy-layout-and-rescore mirror decision."""
+    """The historical copy-layout-and-rescore mirror decision.
+
+    It overrides the object router's ``_mirror_routing_costs``, so it only
+    takes effect under ``MIRAGE_ROUTE_KERNEL=object``; ``calls`` proves it
+    ran.
+    """
+
+    calls = 0
 
     def _mirror_routing_costs(self, lookahead, layout, physical):
+        self.calls += 1
         current = self.routing_heuristic([], lookahead, layout)
         trial_layout = layout.copy()
         trial_layout.swap_physical(*physical)
@@ -308,17 +316,19 @@ def _routing_digest(result):
 @pytest.mark.parametrize("aggression", [1, 2, 3])
 @pytest.mark.parametrize("circuit", [qft(6), twolocal_full(5)],
                          ids=["qft6", "twolocal5"])
-def test_delta_mirror_commit_matches_copy_rescore(circuit, aggression):
+def test_delta_mirror_commit_matches_copy_rescore(monkeypatch, circuit, aggression):
     dag = prepare_circuit(circuit).to_dag()
     coupling = line_topology(dag.num_qubits)
     for seed in (1, 5):
         layout = Layout.random(dag.num_qubits, coupling.num_qubits, seed=seed)
+        monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
         fast = MirageSwap(coupling, COVERAGE, aggression=aggression).run(
             dag, layout, seed=seed
         )
-        reference = _ReferenceMirage(
-            coupling, COVERAGE, aggression=aggression
-        ).run(dag, layout, seed=seed)
+        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
+        router = _ReferenceMirage(coupling, COVERAGE, aggression=aggression)
+        reference = router.run(dag, layout, seed=seed)
+        assert router.calls > 0
         assert _routing_digest(fast) == _routing_digest(reference)
         assert fast.mirrors_accepted == reference.mirrors_accepted
         assert fast.final_layout == reference.final_layout

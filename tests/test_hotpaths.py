@@ -433,9 +433,18 @@ def test_consolidate_batched_annotations_match_scalar():
 
 
 class _FullRescoreSwap(SabreSwap):
-    """Reference router using the historical copy-layout-and-rescore loop."""
+    """Reference router using the historical copy-layout-and-rescore loop.
+
+    It overrides the object router's ``_choose_swap``, so it only takes
+    effect under ``MIRAGE_ROUTE_KERNEL=object``; ``calls`` proves it ran.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
 
     def _choose_swap(self, front, layout, dag, rng):
+        self.calls += 1
         candidates = self._swap_candidates(front, layout)
         assert candidates
         extended = self._extended_set(front, dag)
@@ -462,28 +471,41 @@ def _route_stream(router, dag, layout, seed):
     )
 
 
+def _reference_stream(monkeypatch, router, dag, layout, seed):
+    """Route with the object router, where the reference overrides apply."""
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
+    try:
+        return _route_stream(router, dag, layout, seed)
+    finally:
+        monkeypatch.delenv("MIRAGE_ROUTE_KERNEL")
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 @pytest.mark.parametrize("topology", ["line", "square"])
-def test_delta_swap_choice_matches_full_rescore(seed, topology):
+def test_delta_swap_choice_matches_full_rescore(monkeypatch, seed, topology):
     width = 9
     coupling = topology_by_name(topology, width)
     dag = benchmark_circuit("qft", width).to_dag()
     layout = Layout.trivial(width, coupling.num_qubits)
 
+    monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
     fast = SabreSwap(coupling, seed=seed)
     reference = _FullRescoreSwap(coupling, seed=seed)
-    assert _route_stream(fast, dag, layout.copy(), seed) == _route_stream(
-        reference, dag, layout.copy(), seed
+    assert _route_stream(fast, dag, layout.copy(), seed) == _reference_stream(
+        monkeypatch, reference, dag, layout.copy(), seed
     )
+    assert reference.calls > 0
 
 
-def test_delta_swap_choice_matches_on_random_layouts():
+def test_delta_swap_choice_matches_on_random_layouts(monkeypatch):
     coupling = topology_by_name("heavy_hex", 57)
     dag = benchmark_circuit("qft", 12).to_dag()
+    monkeypatch.delenv("MIRAGE_ROUTE_KERNEL", raising=False)
     for seed in (1, 2):
         layout = Layout.random(12, coupling.num_qubits, seed=seed)
         fast = SabreSwap(coupling, seed=seed)
         reference = _FullRescoreSwap(coupling, seed=seed)
-        assert _route_stream(fast, dag, layout.copy(), seed) == _route_stream(
-            reference, dag, layout.copy(), seed
+        assert _route_stream(fast, dag, layout.copy(), seed) == _reference_stream(
+            monkeypatch, reference, dag, layout.copy(), seed
         )
+        assert reference.calls > 0

@@ -14,10 +14,13 @@ Covers the PR-6 guarantees:
   identically in both kernels);
 * the per-gate mirror table (equal to the scalar coordinate/mirror/cost
   chain, never pickled) and the lazily built routed DAG;
-* the compiled SWAP scorer: the same tied-best edges as the Python float
-  scorer, identity with the object router when it is unavailable, and a
-  build cache that rebuilds corrupt files, never loads files another user
-  could have written, and never raises.
+* the compiled routing loop: the same event stream, layout, counts and
+  generator state as the Python loop and the object router (seeded
+  differential fuzz, a hypothesis property, error-path parity), the C
+  tie-break draw equal to ``Generator.integers`` with the probe's Python
+  fallback, identity with the object router when it is unavailable, and
+  a build cache that rebuilds corrupt files, never loads files another
+  user could have written, and never raises.
 """
 
 import hashlib
@@ -25,7 +28,6 @@ import os
 import pickle
 import shutil
 import tempfile
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +52,13 @@ from repro.transpiler import (
 )
 from repro.transpiler.kernel import (
     IntDAG,
-    KernelState,
     adopt_intdag,
     int_dag,
     neighbor_table,
     route_kernel_mode,
 )
 from repro.transpiler.kernel import native, route
+from repro.linalg.random import haar_unitary
 from repro.transpiler.metrics import gate_coordinate
 from repro.transpiler.passes import (
     DepthMetric,
@@ -632,8 +634,7 @@ def test_kept_routing_builds_dag_only_when_read(monkeypatch, metric, built):
 
 
 # ---------------------------------------------------------------------------
-# Compiled SWAP scorer: equal to the Python scorer, and a loader that never
-# raises
+# Compiled routing loop: equal to the Python loop and the object router
 # ---------------------------------------------------------------------------
 
 SCORER_TOPOLOGIES = {
@@ -645,7 +646,7 @@ SCORER_TOPOLOGIES = {
 }
 
 needs_native = pytest.mark.skipif(
-    native.scorer() is None, reason="no C compiler: the compiled scorer is unavailable"
+    native.router() is None, reason="no C compiler: the compiled routing loop is unavailable"
 )
 
 
@@ -656,15 +657,34 @@ def _spy(function, calls):
     return spy
 
 
-@st.composite
-def _stall(draw, coupling):
-    """A random stall: layout, circuit, front, lookahead window and decay.
+def _compiled_runs(monkeypatch):
+    """Record the outcome of every ``native.route`` call: ``True`` when the
+    compiled loop routed, ``False`` when it declined, ``"raised"``."""
+    runs = []
+    original = native.route
 
-    About half of the gates sit on a coupling edge under the layout, so
-    lookahead pairs that are already adjacent occur often.
+    def recording(*args, **kwargs):
+        try:
+            routed = original(*args, **kwargs)
+        except Exception:
+            runs.append("raised")
+            raise
+        runs.append(routed is not None)
+        return routed
+
+    monkeypatch.setattr(native, "route", recording)
+    return runs
+
+
+@st.composite
+def _routing_case(draw, coupling):
+    """A random routing input: circuit, layout, seed and SABRE parameters.
+
+    About half of the two-qubit gates sit on a coupling edge under the
+    layout, so stalls mix with gates that execute at once.
     """
     num_physical = coupling.num_qubits
-    num_virtual = draw(st.integers(2, num_physical))
+    num_virtual = draw(st.integers(2, min(num_physical, 12)))
     v2p = draw(st.permutations(range(num_physical)))[:num_virtual]
     p2v = {physical: virtual for virtual, physical in enumerate(v2p)}
     mapped_edges = [
@@ -674,35 +694,160 @@ def _stall(draw, coupling):
                      unique=True).map(tuple)
     if mapped_edges:
         pair = st.one_of(pair, st.sampled_from(mapped_edges))
-    gates = draw(st.lists(pair, min_size=1, max_size=30))
     circuit = QuantumCircuit(num_virtual)
-    for a, b in gates:
+    for a, b in draw(st.lists(pair, min_size=1, max_size=30)):
         circuit.cx(a, b)
-    nodes = range(len(gates))
-    front = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=6, unique=True))
-    extended = draw(st.lists(st.sampled_from(nodes), max_size=20, unique=True))
-    decay = draw(st.lists(st.sampled_from([1.0, 1.001, 1.002, 1.5]),
-                          min_size=num_physical, max_size=num_physical))
-    weight = draw(st.sampled_from([0.5, 0.0, 1.0, 0.3]))
-    return circuit, list(v2p), front, extended, array("d", decay), weight
+        if draw(st.booleans()):
+            circuit.h(b)
+    kwargs = {
+        "extended_set_size": draw(st.sampled_from([0, 1, 20])),
+        "extended_set_weight": draw(st.sampled_from([0.5, 0.0, 1.0, 0.3])),
+        "decay_delta": draw(st.sampled_from([0.001, 0.5])),
+        "decay_reset_interval": draw(st.sampled_from([1, 2, 5])),
+    }
+    return circuit, list(v2p), draw(st.integers(0, 2**31)), kwargs
 
 
 @needs_native
 @pytest.mark.parametrize("name", sorted(SCORER_TOPOLOGIES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_native_scorer_matches_python_scorer(name, data):
-    """The compiled scorer's tied-best edges (before the draw) equal the
-    Python float scorer's, in the same order."""
+    """Every SWAP the compiled loop scores and draws equals the Python
+    loop's: the same event stream, final layout and SWAP count, and the
+    generator left in the same state."""
     coupling = SCORER_TOPOLOGIES[name]
-    circuit, v2p, front, extended, decay, weight = data.draw(_stall(coupling))
+    circuit, v2p, seed, kwargs = data.draw(_routing_case(coupling))
     intdag, table = int_dag(circuit.to_dag()), neighbor_table(coupling)
-    state = KernelState(intdag, table, v2p, 20)
-    scorer = native.bind(table, intdag)
-    native_best = scorer.best_edges(v2p, front, extended, decay, weight)
-    python_best = route._best_edges_float(state, front, extended, decay, weight)
-    assert native_best == python_best
-    assert native_best  # connected maps always have a finite best score
+
+    def run(library):
+        rng = np.random.default_rng(seed)
+        original = native.router
+        native.router = lambda: library
+        try:
+            state = route.route_kernel(
+                intdag, table, v2p, rng, stall_limit=1000,
+                commit=lambda state, node_id, physical: state.emit(node_id),
+                **kwargs,
+            )
+        finally:
+            native.router = original
+        return list(state.events), state.v2p, state.swaps_added, rng.integers(2**40)
+
+    assert run(native.router()) == run(None)
+
+
+def _fuzz_circuit(rng, num_qubits):
+    """Haar blocks, single-qubit gates, barriers and a wide directive."""
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(int(rng.integers(6, 18))):
+        roll = rng.random()
+        if roll < 0.6:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            circuit.unitary(haar_unitary(4, rng), [int(a), int(b)], check=False)
+        elif roll < 0.8:
+            circuit.rz(float(rng.random()), int(rng.integers(num_qubits)))
+        elif roll < 0.9:
+            qubits = rng.choice(num_qubits, size=int(rng.integers(2, num_qubits + 1)),
+                                replace=False)
+            circuit.barrier(*(int(q) for q in qubits))
+        else:
+            circuit.barrier()
+    return circuit
+
+
+def _three_way(monkeypatch, router_factory, dag, layout, seed):
+    """Route with the compiled loop, the Python loop and the object router;
+    each outcome: op stream with matrices, final layout, counts, and the
+    generator's next draw."""
+    outcomes = {}
+    original = native.router
+    for name, mode, library in (
+        ("compiled", "flat", original()),
+        ("python", "flat", None),
+        ("object", "object", None),
+    ):
+        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", mode)
+        monkeypatch.setattr(native, "router", lambda library=library: library)
+        rng = np.random.default_rng(seed)
+        result = router_factory().run(dag, layout.copy(), seed=rng)
+        ops = [
+            (node.gate.name, tuple(node.qubits),
+             None if node.is_directive else node.gate.matrix().tobytes())
+            for node_id in sorted(result.dag.nodes)
+            for node in (result.dag.nodes[node_id],)
+        ]
+        outcomes[name] = (
+            ops,
+            result.final_layout.virtual_to_physical(),
+            result.swaps_added,
+            result.mirror_candidates,
+            result.mirrors_accepted,
+            int(rng.integers(2**40)),
+        )
+    monkeypatch.setattr(native, "router", original)
+    return outcomes
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_compiled_python_and_object_routers_agree(monkeypatch, case):
+    """Seeded differential fuzz of the three routers over random block
+    circuits with single-qubit gates and directives, random connected
+    couplings, aggressions 0-3, decomposition weights, lookahead window
+    sizes and decay-reset intervals."""
+    rng = np.random.default_rng(0x5EED + case)
+    num_qubits = int(rng.integers(3, 8))
+    dag = DAGCircuit.from_circuit(_fuzz_circuit(rng, num_qubits))
+    coupling = _random_connected_coupling(rng, num_qubits + int(rng.integers(0, 3)))
+    layout = Layout.random(dag.num_qubits, coupling.num_qubits, rng)
+    seed = int(rng.integers(0, 2**31))
+    options = {
+        "extended_set_size": (0, 1, 20)[case % 3],
+        "decay_reset_interval": (1, 5)[case % 2],
+    }
+    aggression = case % 4
+    weight = (1.0, 0.5, 2.0)[case % 3]
+    runs = _compiled_runs(monkeypatch)
+    for factory in (
+        lambda: SabreSwap(coupling, **options),
+        lambda: MirageSwap(coupling, coverage=COVERAGE, aggression=aggression,
+                           decomposition_weight=weight, **options),
+    ):
+        outcomes = _three_way(monkeypatch, factory, dag, layout, seed)
+        assert outcomes["compiled"] == outcomes["python"] == outcomes["object"]
+    compiled = native.router() is not None
+    assert runs == [compiled, False] * 2  # the compiled loop routed the first
+
+
+@pytest.mark.parametrize("library", ["compiled", "python"])
+def test_error_paths_match_the_object_router(monkeypatch, library):
+    """A three-qubit gate and the stall limit raise the object router's
+    ``TranspilerError`` from either flat loop."""
+    if library == "compiled" and native.router() is None:
+        pytest.skip("no C compiler: the compiled routing loop is unavailable")
+    if library == "python":
+        monkeypatch.setattr(native, "router", lambda: None)
+    runs = _compiled_runs(monkeypatch)
+    coupling = line_topology(4)
+    circuit = QuantumCircuit(4).cx(0, 1).ccx(0, 1, 2)
+    dag = DAGCircuit.from_circuit(circuit)
+    messages = []
+    for mode in ("flat", "object"):
+        monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", mode)
+        with pytest.raises(TranspilerError) as raised:
+            SabreSwap(coupling).run(dag, Layout.trivial(4, 4), seed=1)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == "router requires gates with at most two qubits"
+
+    stalled = DAGCircuit.from_circuit(QuantumCircuit(4).cx(0, 3))
+    with pytest.raises(TranspilerError, match="^router failed to make progress$"):
+        route.route_kernel(
+            int_dag(stalled), neighbor_table(coupling), [0, 1, 2, 3],
+            np.random.default_rng(1), extended_set_size=20, extended_set_weight=0.5,
+            decay_delta=0.001, decay_reset_interval=5, stall_limit=0,
+            commit=lambda state, node_id, physical: state.emit(node_id),
+        )
+    assert runs == ([False, False] if library == "python" else ["raised", "raised"])
 
 
 @pytest.mark.parametrize(
@@ -718,9 +863,9 @@ def test_native_scorer_matches_python_scorer(name, data):
     ids=["pinned", "aggressions", "mirage-serial", "sabre-threads", "decay", "random"],
 )
 def test_flat_object_identity_without_native_scorer(monkeypatch, test, kwargs):
-    """With the compiled scorer unavailable, the Python float scorer keeps
-    the flat kernel byte-identical to the object router."""
-    monkeypatch.setattr(native, "scorer", lambda: None)
+    """With the compiled loop unavailable, the Python loop keeps the flat
+    kernel byte-identical to the object router."""
+    monkeypatch.setattr(native, "router", lambda: None)
     calls = []
     monkeypatch.setattr(route, "_best_edges_float", _spy(route._best_edges_float, calls))
     test(monkeypatch, **kwargs)
@@ -730,37 +875,107 @@ def test_flat_object_identity_without_native_scorer(monkeypatch, test, kwargs):
 @needs_native
 @pytest.mark.parametrize("method", ["sabre", "mirage"])
 def test_native_run_leaves_pickles_unchanged(monkeypatch, method):
-    """The scorer's memoised arrays live beside the IntDAG and the
-    NeighborTable, never on them."""
+    """The compiled loop's memoised arrays live beside the IntDAG, the
+    NeighborTable and the mirror table, never on them."""
     monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
     coupling = grid_topology(3, 3)
     dag = _routing_input(qft(7))
     lowered = int_dag(dag)
     table = neighbor_table(coupling)
     before = (pickle.dumps(lowered), pickle.dumps(table))
-    calls = []
-    monkeypatch.setattr(native.Scorer, "best_edges", _spy(native.Scorer.best_edges, calls))
+    runs = _compiled_runs(monkeypatch)
     router = (
         SabreSwap(coupling) if method == "sabre"
         else MirageSwap(coupling, coverage=COVERAGE, aggression=2)
     )
     result = router.run(dag, Layout.trivial(7, 9), seed=4)
-    assert result.swaps_added > 0 and calls  # the compiled scorer ran
+    assert result.swaps_added > 0 and runs == [True]  # the compiled loop ran
     assert (pickle.dumps(lowered), pickle.dumps(table)) == before
 
 
 def test_native_scorer_loads_when_a_compiler_is_found():
-    """Where ``cc`` exists the compiled scorer must load, so a broken
-    build cannot silently fall back to the slower Python scorer."""
+    """Where ``cc`` exists the compiled loop must load, so a broken build
+    cannot silently fall back to the slower Python loop."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert native.scorer() is not None
-    assert native.load_scorer() is not None
+    assert native.router() is not None
+    assert native.load_router() is not None
+
+
+# ---------------------------------------------------------------------------
+# The random-stream bridge: the C tie-break draw is Generator.integers
+# ---------------------------------------------------------------------------
+
+BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+    np.random.SFC64,
+]
+
+
+@needs_native
+@pytest.mark.parametrize("kind", BIT_GENERATORS, ids=lambda kind: kind.__name__)
+def test_c_draw_equals_generator_integers(kind):
+    """n = 1-200 drawn in C equal ``rng.integers(n)``, and both generators
+    continue with the same stream (an odd number of 32-bit draws first, so
+    a buffered half-word is in play)."""
+    bounds = list(range(1, 201))
+    for seed in (0, 7, 123):
+        ours = np.random.Generator(kind(seed))
+        numpys = np.random.Generator(kind(seed))
+        ours.integers(5)
+        numpys.integers(5)
+        assert native.draws(native.router(), ours.bit_generator, bounds) == [
+            int(numpys.integers(n)) for n in bounds
+        ]
+        np.testing.assert_equal(ours.bit_generator.state, numpys.bit_generator.state)
+        assert (ours.integers(2**40), ours.random()) == (numpys.integers(2**40), numpys.random())
+        assert native.draw_matches(native.router(), ours)
+
+
+@needs_native
+def test_failed_draw_probe_routes_in_python(monkeypatch):
+    """A bit-generator type whose C draw disagrees with ``integers`` in the
+    probe is routed by the Python loop, with identical output."""
+    coupling = grid_topology(3, 3)
+    dag = _routing_input(qft(7))
+
+    def routed():
+        result = MirageSwap(coupling, coverage=COVERAGE, aggression=2).run(
+            dag, Layout.trivial(7, 9), seed=np.random.default_rng(5)
+        )
+        return _routing_stream(result), result.mirrors_accepted
+
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    expected = routed()
+    monkeypatch.setattr(native, "_draw_matches", {})
+    real_draws = native.draws
+    monkeypatch.setattr(native, "draws", lambda *args: [
+        value + 1 for value in real_draws(*args)
+    ])
+    runs = _compiled_runs(monkeypatch)
+    calls = []
+    monkeypatch.setattr(route, "_best_edges_float", _spy(route._best_edges_float, calls))
+    assert routed() == expected
+    assert runs == [False] and calls
+    assert native._draw_matches == {np.random.PCG64: False}
+
+
+def test_unseedable_bit_generator_fails_the_probe(monkeypatch):
+    """A bit-generator type that cannot be built from a seed never passes."""
+    class Unseedable(np.random.PCG64):
+        def __init__(self):
+            super().__init__(0)
+
+    monkeypatch.setattr(native, "_draw_matches", {})
+    library = native.router()
+    if library is None:
+        pytest.skip("no C compiler: the compiled routing loop is unavailable")
+    assert not native.draw_matches(library, np.random.Generator(Unseedable()))
 
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
-    """A fresh scorer build cache, with the loader's compiler checked."""
+    """A fresh routing-library build cache, with the loader's compiler checked."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     monkeypatch.setenv("MIRAGE_CACHE_DIR", str(tmp_path))
@@ -769,7 +984,7 @@ def cache_dir(tmp_path, monkeypatch):
 
 
 def _cached_library(cache_dir):
-    return cache_dir / f"score-{native.cache_key(shutil.which('cc'))}.so"
+    return cache_dir / f"route-{native.cache_key(shutil.which('cc'))}.so"
 
 
 def _opened_paths(monkeypatch):
@@ -780,13 +995,13 @@ def _opened_paths(monkeypatch):
 
 
 def test_loader_builds_into_the_cache_once(cache_dir, monkeypatch):
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     library = _cached_library(cache_dir)
     assert library.is_file() and native._trusted(library)
     assert [p.name for p in cache_dir.iterdir()] == [library.name]  # no temp left
     builds = []
     monkeypatch.setattr(native, "_compile", _spy(native._compile, builds))
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     assert not builds  # the second load reuses the cached build
 
 
@@ -798,7 +1013,7 @@ def test_loader_rebuilds_a_corrupt_cached_library(cache_dir, monkeypatch, conten
     library.chmod(0o755)
     builds = []
     monkeypatch.setattr(native, "_compile", _spy(native._compile, builds))
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     assert len(builds) == 1
     assert library.stat().st_size > len(content)
 
@@ -809,35 +1024,35 @@ def test_loader_falls_back_when_the_rebuild_fails(cache_dir, monkeypatch):
     library.write_bytes(b"garbage")
     library.chmod(0o755)
     monkeypatch.setattr(native, "_compile", lambda compiler, directory: None)
-    assert native.load_scorer() is None
+    assert native.load_router() is None
     assert not library.exists()
 
 
 def test_loader_without_a_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("MIRAGE_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
-    assert native.load_scorer() is None
+    assert native.load_router() is None
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("mode", [0o775, 0o757], ids=["group-writable", "world-writable"])
 def test_loader_never_loads_a_writable_cached_library(cache_dir, monkeypatch, mode):
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     library = _cached_library(cache_dir)
     library.chmod(mode)
     opened = _opened_paths(monkeypatch)
-    assert native.load_scorer() is not None  # built privately instead
+    assert native.load_router() is not None  # built privately instead
     assert opened and library not in opened
     assert library.stat().st_mode & 0o777 == mode  # left alone
 
 
 def test_loader_never_loads_a_foreign_cached_library(cache_dir, monkeypatch):
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     library = _cached_library(cache_dir)
     uid = os.getuid()
     monkeypatch.setattr(native.os, "getuid", lambda: uid + 1)
     opened = _opened_paths(monkeypatch)
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     assert opened and library not in opened
 
 
@@ -848,7 +1063,7 @@ def test_loader_with_cache_disabled_builds_in_a_removed_temp_dir(cache_dir, monk
     monkeypatch.setattr(native.tempfile, "mkdtemp",
                         lambda **kwargs: made.append(original(**kwargs)) or made[-1])
     opened = _opened_paths(monkeypatch)
-    assert native.load_scorer() is not None
+    assert native.load_router() is not None
     assert len(made) == 1 and not os.path.exists(made[0])
     assert opened[0].parent == Path(made[0])
     assert not cache_dir.exists()
