@@ -13,6 +13,11 @@ outputs are element-wise / byte-for-byte identical while timing both:
                         kernel's whole route for comparison.
 * ``coverage_cache``  — cold coverage build vs warm load from the persistent
                         disk cache (isolated in a temporary ``MIRAGE_CACHE_DIR``).
+* ``depth_metric``    — MIRAGE's depth selection score of one routed QFT-20
+                        on the 5x5 lattice: building the routed DAG and
+                        walking it with ``evaluate`` vs scoring the routed
+                        event stream (``DepthMetric``); the scores must be
+                        equal.
 
 Run ``python benchmarks/bench_hotpaths.py --smoke`` for the CI-sized run or
 without flags for the full sizes; the machine-readable result lands in
@@ -36,13 +41,20 @@ from pathlib import Path
 import numpy as np
 
 from repro.circuits.library import benchmark_circuit, twolocal_full
+from repro.core.mirage_pass import MirageSwap
 from repro.core.transpile import transpile
 from repro.linalg.constants import MAGIC, MAGIC_DAG
 from repro.linalg.random import haar_unitary
-from repro.polytopes.coverage import build_coverage_set, load_or_build_coverage_set
+from repro.polytopes.coverage import (
+    build_coverage_set,
+    get_coverage_set,
+    load_or_build_coverage_set,
+)
 from repro.transpiler.layout import Layout
+from repro.transpiler.metrics import evaluate
+from repro.transpiler.passes.sabre_layout import DepthMetric
 from repro.transpiler.passes.sabre_swap import SabreSwap
-from repro.transpiler.topologies import topology_by_name
+from repro.transpiler.topologies import grid_topology, topology_by_name
 from repro.weyl.canonical import canonicalize_coordinate
 from repro.weyl.coordinates import weyl_coordinates_many
 from repro.weyl.haar import cached_haar_samples
@@ -293,6 +305,38 @@ def bench_coverage_cache(coverage_samples: int) -> dict:
     }
 
 
+def bench_depth_metric(coverage_samples: int, repeats: int) -> dict:
+    coverage = get_coverage_set("sqrt_iswap", num_samples=coverage_samples, seed=7)
+    coupling = grid_topology(5, 5)
+    dag = benchmark_circuit("qft", 20).to_dag()
+    layout = Layout.random(20, coupling.num_qubits, np.random.default_rng(3))
+    result = MirageSwap(coupling, coverage=coverage).run(dag, layout, seed=3)
+    routed = result.routed
+    metric = DepthMetric(coverage=coverage)
+
+    stream_seconds = []
+    dag_seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        stream_score = metric(result)
+        stream_seconds.append(time.perf_counter() - start)
+
+        start = time.perf_counter()
+        dag_score = evaluate(routed.to_dag(), coverage=coverage).depth
+        dag_seconds.append(time.perf_counter() - start)
+    stream_s = float(np.median(stream_seconds))
+    dag_s = float(np.median(dag_seconds))
+    return {
+        "swaps": result.swaps_added,
+        "mirrors": result.mirrors_accepted,
+        "score": stream_score,
+        "stream_score_s": stream_s,
+        "dag_score_s": dag_s,
+        "speedup": dag_s / stream_s,
+        "equal": stream_score == dag_score,
+    }
+
+
 def bench_transpile_digests() -> dict:
     digests = {}
     for method in ("sabre", "mirage"):
@@ -331,8 +375,10 @@ def main() -> int:
 
     if args.smoke:
         coverage_samples, num_coordinates, num_unitaries, width = 400, 1000, 150, 25
+        repeats = 5
     else:
         coverage_samples, num_coordinates, num_unitaries, width = 1200, 2000, 500, 36
+        repeats = 20
 
     report = {
         "config": {
@@ -344,24 +390,22 @@ def main() -> int:
         "weyl": bench_weyl(num_unitaries),
         "swap_choice": bench_swap_choice(width),
         "coverage_cache": bench_coverage_cache(coverage_samples),
+        "depth_metric": bench_depth_metric(coverage_samples, repeats),
         "transpile_digests": bench_transpile_digests(),
     }
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"[hotpaths] {'smoke' if args.smoke else 'full'} -> {args.out}")
-    for section in ("coverage_cost", "weyl", "swap_choice", "coverage_cache"):
+    sections = ("coverage_cost", "weyl", "swap_choice", "coverage_cache", "depth_metric")
+    for section in sections:
         entry = report[section]
         speedup = entry.get("choose_speedup", entry.get("speedup"))
         print(
             f"  {section:<14} speedup {speedup:6.1f}x  equal={entry['equal']}"
         )
 
-    failures = [
-        section
-        for section in ("coverage_cost", "weyl", "swap_choice", "coverage_cache")
-        if not report[section]["equal"]
-    ]
+    failures = [section for section in sections if not report[section]["equal"]]
     if failures:
         print(f"EQUIVALENCE FAILURES: {failures}")
         return 1

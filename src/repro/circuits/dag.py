@@ -152,17 +152,27 @@ class DAGCircuit:
                 node (plain gate depth).
 
         Returns:
-            The maximum, over all paths, of the summed node weights.
+            The maximum, over all paths (and 0.0), of the summed node
+            weights.
+
+        Nodes are only ever appended, so insertion order is topological,
+        and a node's predecessors are the last nodes on its wires: one
+        walk with a per-wire clock (the heaviest path ending on that wire)
+        computes the same ``max(predecessors) + weight`` per node as a
+        topological sort would, for any weights.
         """
         if weight is None:
             weight = lambda node: 0.0 if node.is_directive else 1.0  # noqa: E731
-        distance: dict[int, float] = {}
+        clock: dict[int, float] = {}
         best = 0.0
-        for node in self.topological_nodes():
-            incoming = self._predecessors[node.node_id]
-            upstream = max((distance[i] for i in incoming), default=0.0)
-            distance[node.node_id] = upstream + weight(node)
-            best = max(best, distance[node.node_id])
+        for node in self.nodes.values():
+            qubits = node.qubits
+            distance = max(
+                (clock[q] for q in qubits if q in clock), default=0.0
+            ) + weight(node)
+            for qubit in qubits:
+                clock[qubit] = distance
+            best = max(best, distance)
         return best
 
     def depth(self) -> int:

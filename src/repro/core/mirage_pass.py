@@ -31,7 +31,7 @@ import dataclasses
 import numpy as np
 
 from repro.circuits.dag import DAGCircuit, DAGNode
-from repro.circuits.gates import UnitaryGate
+from repro.circuits.gates import Gate, UnitaryGate
 from repro.core.aggression import Aggression, accept_mirror
 from repro.linalg.constants import SWAP
 from repro.polytopes.coverage import CoverageSet, get_coverage_set
@@ -41,6 +41,9 @@ from repro.transpiler.metrics import gate_coordinate, node_coordinate
 from repro.transpiler.passes.sabre_swap import SabreSwap
 from repro.transpiler.topologies import CouplingMap
 from repro.weyl.mirror import mirror_coordinate, mirror_coordinates_many
+
+#: The gate the router inserts for a SWAP (see ``route.replay``).
+_SWAP_GATE = Gate("swap", 2)
 
 
 @dataclasses.dataclass
@@ -52,53 +55,71 @@ class MirrorTable:
 
     * ``cost``: decomposition cost of the gate over ``unit_cost``;
     * ``mirror_cost``: the same for its mirror ``SWAP . U``;
+    * ``pulse_cost``/``mirror_pulse_cost``: the same two costs in pulse
+      units, exactly as ``cost_of_many`` returned them;
     * ``mirror_coordinates``: the mirror's canonical Weyl coordinate.
 
-    Every value equals what the scalar ``gate_coordinate`` →
-    ``mirror_coordinate`` → ``cost_of`` chain gives for that gate.  The
-    compiled routing loop reads the costs as ``double`` arrays; they are
-    python lists for the Python loop's commit hook, where scalar list
-    indexing is several times faster than ndarray indexing.  A mirror
-    coordinate is read only when a routed DAG with an accepted mirror is
-    built.  The table lives as long as its ``IntDAG`` (and the routed op
-    streams that reference it); in a worker that is as long as the
-    payload memo keeps the payload.
+    ``swap_pulse_cost`` is the pulse cost of the named ``swap`` gate the
+    router inserts.  Every value equals what the scalar
+    ``gate_coordinate`` → ``mirror_coordinate`` → ``cost_of`` chain gives
+    for that gate.  The compiled routing loop reads ``cost`` and
+    ``mirror_cost`` as ``double`` arrays; they are python lists for the
+    Python loop's commit hook, where scalar list indexing is several times
+    faster than ndarray indexing.  The depth selection metric weights a
+    routed event stream with the pulse costs (see
+    :func:`~repro.transpiler.kernel.route.critical_path`): the raw values,
+    because ``cost * unit_cost`` need not round-trip.  A mirror coordinate
+    is read only when a routed DAG with an accepted mirror is built.  The
+    table lives as long as its ``IntDAG`` (and the routed op streams that
+    reference it); in a worker that is as long as the payload memo keeps
+    the payload.
     """
 
     cost: list[float]
     mirror_cost: list[float]
+    pulse_cost: list[float]
+    mirror_pulse_cost: list[float]
+    swap_pulse_cost: float
     mirror_coordinates: np.ndarray
 
     @classmethod
     def build(cls, intdag: IntDAG, coverage: CoverageSet) -> "MirrorTable":
         """One coordinate per distinct gate, then one batched mirror
-        transform and one batched coverage query over (gate, mirror) rows.
+        transform and one batched coverage query over (gate, mirror) rows
+        and the ``swap`` gate's row.
 
         ``mirror_coordinates_many`` and ``cost_of_many`` are element-wise
         identical to their scalar forms, so the table equals a per-gate
         scalar fill.
         """
         size = len(intdag.gates)
-        cost = np.zeros(size)
-        mirror_cost = np.zeros(size)
+        pulse_cost = np.zeros(size)
+        mirror_pulse_cost = np.zeros(size)
         mirrored = np.zeros((size, 3))
         gate_ids = np.unique(intdag.gate_ids[intdag.two_qubit == 1])
-        if gate_ids.size:
-            coordinates = np.array(
-                [gate_coordinate(intdag.gates[g]) for g in gate_ids.tolist()],
-                dtype=float,
-            )
-            mirrors = mirror_coordinates_many(coordinates)
-            # Interleaved (gate, mirror) rows: the coverage memo is filled
-            # in the pairwise order the per-commit queries used.
-            rows = np.stack((coordinates, mirrors), axis=1).reshape(-1, 3)
-            costs = coverage.cost_of_many(rows) / coverage.unit_cost
-            cost[gate_ids] = costs[0::2]
-            mirror_cost[gate_ids] = costs[1::2]
-            mirrored[gate_ids] = mirrors
+        coordinates = np.array(
+            [gate_coordinate(intdag.gates[g]) for g in gate_ids.tolist()],
+            dtype=float,
+        ).reshape(-1, 3)
+        mirrors = mirror_coordinates_many(coordinates)
+        # Interleaved (gate, mirror) rows: the coverage memo is filled in
+        # the pairwise order the per-commit queries used.  The swap row
+        # goes last.
+        rows = np.concatenate((
+            np.stack((coordinates, mirrors), axis=1).reshape(-1, 3),
+            [gate_coordinate(_SWAP_GATE)],
+        ))
+        costs = coverage.cost_of_many(rows)
+        pulse_cost[gate_ids] = costs[0:-1:2]
+        mirror_pulse_cost[gate_ids] = costs[1:-1:2]
+        mirrored[gate_ids] = mirrors
+        unit = coverage.unit_cost
         return cls(
-            cost=cost.tolist(),
-            mirror_cost=mirror_cost.tolist(),
+            cost=(pulse_cost / unit).tolist(),
+            mirror_cost=(mirror_pulse_cost / unit).tolist(),
+            pulse_cost=pulse_cost.tolist(),
+            mirror_pulse_cost=mirror_pulse_cost.tolist(),
+            swap_pulse_cost=float(costs[-1]),
             mirror_coordinates=mirrored,
         )
 

@@ -6,7 +6,9 @@ returns a :class:`KernelState`: the final layout, the SWAP count, the
 mirror counts and an int event stream — ``2 * node + mirrored`` per
 executed node, ``-(1 + a * num_qubits + b)`` per SWAP on edge ``(a, b)`` —
 from which :class:`~repro.transpiler.passes.sabre_swap.RoutedOps` replays
-the routed gates when, and only when, someone reads the routed DAG.
+the routed gates when, and only when, someone reads the routed DAG, and
+from which :func:`critical_path` computes the depth selection score
+without building it.
 
 On connected coupling maps the whole run is one call into the compiled
 loop ``mirage_route`` (``_route.c``, built and loaded by
@@ -370,6 +372,87 @@ def replay(
         else:
             ops.append((gates[gate_id], physical))
     return ops
+
+
+def critical_path(
+    intdag: IntDAG,
+    num_qubits: int,
+    initial_v2p: list[int],
+    events: Sequence[int],
+    costs: Any,
+) -> float:
+    """The decomposition-aware critical path of an event stream.
+
+    Equals ``metrics.evaluate(dag).depth`` of the DAG :func:`replay`
+    would build, without building it.  ``costs`` has per-gate-id
+    ``pulse_cost`` and ``mirror_pulse_cost`` sequences and a
+    ``swap_pulse_cost`` (a :class:`~repro.core.mirage_pass.MirrorTable`),
+    holding exactly the coverage answers ``evaluate`` would get.
+
+    Replays the layout from ``initial_v2p`` and keeps one clock per
+    physical qubit: the heaviest path ending on that wire.  A two-qubit
+    node sets both its wires to ``max(clocks) + weight``, a barrier or
+    wide directive synchronises its wires with weight 0, and a
+    single-qubit node (weight 0) changes nothing.  That is the DAG's
+    longest-path recurrence, operation for operation; the clocks start at
+    0.0 instead of being absent, which gives the same floats because every
+    cost is non-negative.
+    """
+    lists = intdag.lists()
+    gate_ids = lists.gate_ids
+    kind = lists.kind
+    qubit0 = lists.qubit0
+    qubit1 = lists.qubit1
+    qubit_tuples = lists.qubit_tuples
+    pulse_cost = costs.pulse_cost
+    mirror_pulse_cost = costs.mirror_pulse_cost
+    swap_pulse_cost = costs.swap_pulse_cost
+    v2p = list(initial_v2p)
+    p2v = [-1] * num_qubits
+    for virtual, physical in enumerate(v2p):
+        p2v[physical] = virtual
+    clock = [0.0] * num_qubits
+
+    for event in events.tolist():
+        if event < 0:
+            a, b = divmod(-event - 1, num_qubits)
+            clock_a = clock[a]
+            clock_b = clock[b]
+            clock[a] = clock[b] = (
+                clock_a if clock_a >= clock_b else clock_b
+            ) + swap_pulse_cost
+            va, vb = p2v[a], p2v[b]
+            if va >= 0:
+                v2p[va] = b
+            if vb >= 0:
+                v2p[vb] = a
+            p2v[a], p2v[b] = vb, va
+            continue
+        node_id = event >> 1
+        if kind[node_id] == KIND_CHECK2:
+            va = qubit0[node_id]
+            vb = qubit1[node_id]
+            a = v2p[va]
+            b = v2p[vb]
+            if event & 1:
+                weight = mirror_pulse_cost[gate_ids[node_id]]
+                v2p[va], v2p[vb] = b, a
+                p2v[a], p2v[b] = vb, va
+            else:
+                weight = pulse_cost[gate_ids[node_id]]
+            clock_a = clock[a]
+            clock_b = clock[b]
+            clock[a] = clock[b] = (
+                clock_a if clock_a >= clock_b else clock_b
+            ) + weight
+        else:
+            qubits = qubit_tuples[node_id]
+            if len(qubits) > 1:
+                physical = [v2p[q] for q in qubits]
+                synced = max(clock[p] for p in physical)
+                for p in physical:
+                    clock[p] = synced
+    return max(clock)
 
 
 def _choose_swap(

@@ -102,34 +102,50 @@ def evaluate(
     ]
     if two_qubit_nodes:
         coordinates = [node_coordinate(node) for node in two_qubit_nodes]
-        node_costs = coverage.cost_of_many(coordinates)
-        cost_by_node = {
-            node.node_id: float(cost)
-            for node, cost in zip(two_qubit_nodes, node_costs)
-        }
+        cost_by_node = dict(zip(
+            (node.node_id for node in two_qubit_nodes),
+            coverage.cost_of_many(coordinates).tolist(),
+        ))
     else:
         cost_by_node = {}
 
-    def weight(node: DAGNode) -> float:
-        return cost_by_node.get(node.node_id, 0.0)
-
-    depth = dag.longest_path_length(weight)
-    total = sum(weight(node) for node in dag.nodes.values())
-    swap_count = sum(
-        1 for node in dag.nodes.values() if node.gate.name == "swap"
-    )
-    two_qubit_count = sum(1 for node in dag.nodes.values() if node.is_two_qubit)
-    gate_depth = int(
-        dag.longest_path_length(
-            lambda node: 1.0 if node.is_two_qubit else 0.0
-        )
-    )
+    # One walk in insertion (topological) order computes both critical
+    # paths — weighted by cost, and by one per two-qubit gate — with the
+    # per-wire clocks of ``DAGCircuit.longest_path_length``.
+    clock: dict[int, float] = {}
+    gate_clock: dict[int, float] = {}
+    weights: list[float] = []
+    depth = 0.0
+    gate_depth = 0.0
+    swap_count = 0
+    for node in dag.nodes.values():
+        qubits = node.qubits
+        weight = cost_by_node.get(node.node_id)
+        if weight is None:
+            weight = 0.0
+            gate_weight = 0.0
+        else:
+            gate_weight = 1.0
+        weights.append(weight)
+        distance = max(
+            (clock[q] for q in qubits if q in clock), default=0.0
+        ) + weight
+        gate_distance = max(
+            (gate_clock[q] for q in qubits if q in gate_clock), default=0.0
+        ) + gate_weight
+        for qubit in qubits:
+            clock[qubit] = distance
+            gate_clock[qubit] = gate_distance
+        depth = max(depth, distance)
+        gate_depth = max(gate_depth, gate_distance)
+        if node.gate.name == "swap":
+            swap_count += 1
     return CircuitMetrics(
         depth=float(depth),
-        total_cost=float(total),
+        total_cost=float(sum(weights)),
         swap_count=swap_count,
-        two_qubit_count=two_qubit_count,
-        gate_depth=gate_depth,
+        two_qubit_count=len(two_qubit_nodes),
+        gate_depth=int(gate_depth),
         mirrors_accepted=mirrors_accepted,
     )
 

@@ -26,12 +26,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.circuits.dag import DAGCircuit
-from repro.polytopes.coverage import CoverageSet
+from repro.polytopes.coverage import CoverageSet, get_coverage_set
 from repro.transpiler import metrics as metrics_mod
 from repro.transpiler.executors import TrialExecutor, executor_scope
 from repro.transpiler.kernel import IntDAG, adopt_intdag, int_dag
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes.sabre_swap import RoutingResult, SabreSwap
+from repro.transpiler.passes.sabre_swap import RoutedOps, RoutingResult, SabreSwap
 from repro.transpiler.topologies import CouplingMap
 
 #: Paper defaults: 20 layout trials, 4 forward/backward rounds, 20 routing
@@ -110,6 +110,14 @@ def swap_count_metric(result: RoutingResult) -> float:
 class DepthMetric:
     """MIRAGE post-selection: smallest decomposition-aware critical path.
 
+    Scores a flat-kernel result straight from its routed event stream,
+    weighted by the per-gate pulse costs of the ``IntDAG``'s memoised
+    :class:`~repro.core.mirage_pass.MirrorTable` under this metric's
+    coverage set, so no trial builds a ``DAGCircuit`` for its score.  The
+    score equals ``metrics.evaluate(result.dag).depth`` bit for bit; a
+    result that already holds a DAG (the object router) is scored by
+    ``evaluate``.
+
     A frozen dataclass rather than a closure so that trial tasks carrying
     it stay picklable for the process-pool executor.
     """
@@ -118,10 +126,19 @@ class DepthMetric:
     coverage: CoverageSet | None = None
 
     def __call__(self, result: RoutingResult) -> float:
-        evaluated = metrics_mod.evaluate(
-            result.dag, basis=self.basis, coverage=self.coverage
+        routed = result.routed
+        if not isinstance(routed, RoutedOps):
+            return metrics_mod.evaluate(
+                routed, basis=self.basis, coverage=self.coverage
+            ).depth
+        # repro.core imports this module, so import on first use.
+        from repro.core.mirage_pass import mirror_table
+
+        coverage = (
+            self.coverage if self.coverage is not None
+            else get_coverage_set(self.basis)
         )
-        return evaluated.depth
+        return routed.critical_path(mirror_table(routed.intdag, coverage))
 
 
 def depth_metric(
@@ -262,7 +279,8 @@ def run_trial(spec: TrialSpec, ref: TrialRef) -> TrialOutcome:
     side effects beyond the memoised derived data (the reverse DAG and
     the ``IntDAG`` caches, mirror tables included) — or crash recovery
     silently stops being deterministic.  Only the kept routing's
-    ``.dag`` is ever built; refinement rounds read ``final_layout``.
+    ``.dag`` is ever built: refinement rounds read ``final_layout``, and
+    the selection metrics score a routing's event stream.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(ref.seed)

@@ -33,7 +33,7 @@ from repro.transpiler.kernel import (
     route_kernel,
     route_kernel_mode,
 )
-from repro.transpiler.kernel.route import replay
+from repro.transpiler.kernel.route import critical_path, replay
 from repro.transpiler.layout import Layout
 from repro.transpiler.topologies import CouplingMap
 
@@ -51,7 +51,8 @@ class RoutedOps:
     ``events`` is :func:`~repro.transpiler.kernel.route_kernel`'s stream;
     :meth:`to_dag` replays it from ``initial_v2p``, taking a mirrored
     node's gate from ``mirrors.mirror_gate`` (MIRAGE's
-    :class:`~repro.core.mirage_pass.MirrorTable`).
+    :class:`~repro.core.mirage_pass.MirrorTable`), and
+    :meth:`critical_path` scores it without building the DAG.
     """
 
     num_qubits: int
@@ -69,6 +70,13 @@ class RoutedOps:
         ):
             out.add_node(gate, physical)
         return out
+
+    def critical_path(self, costs: Any) -> float:
+        """``metrics.evaluate(self.to_dag()).depth``, from the event stream
+        (see :func:`~repro.transpiler.kernel.route.critical_path`)."""
+        return critical_path(
+            self.intdag, self.num_qubits, self.initial_v2p, self.events, costs
+        )
 
 
 @dataclasses.dataclass
@@ -97,9 +105,9 @@ class RoutingResult:
     def dag(self) -> DAGCircuit:
         """The mapped DAG, built from the op stream on first access.
 
-        Refinement rounds only read ``final_layout``, so their runs never
-        build one; the kept routing builds it once, when the selection
-        metric or the pipeline first reads it.
+        Refinement rounds only read ``final_layout`` and both selection
+        metrics score the op stream itself, so only the kept routing
+        builds one, once, when the pipeline publishes it.
         """
         if isinstance(self.routed, RoutedOps):
             self.routed = self.routed.to_dag()

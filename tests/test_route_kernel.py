@@ -14,6 +14,9 @@ Covers the PR-6 guarantees:
   identically in both kernels);
 * the per-gate mirror table (equal to the scalar coordinate/mirror/cost
   chain, never pickled) and the lazily built routed DAG;
+* the depth selection score over the event stream, equal to
+  ``evaluate(result.dag).depth`` exactly, with only the kept routing ever
+  built into a DAG;
 * the compiled routing loop: the same event stream, layout, counts and
   generator state as the Python loop and the object router (seeded
   differential fuzz, a hypothesis property, error-path parity), the C
@@ -23,6 +26,7 @@ Covers the PR-6 guarantees:
   user could have written, and never raises.
 """
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -41,7 +45,7 @@ from repro.circuits.dag import DAGCircuit
 from repro.circuits.library import TABLE_III_SUITE, ghz, qft, twolocal_full
 from repro.core import MirageSwap, transpile
 from repro.core.mirage_pass import mirror_table
-from repro.polytopes import get_coverage_set
+from repro.polytopes import CoverageSet, get_coverage_set
 from repro.transpiler import (
     CouplingMap,
     Layout,
@@ -59,7 +63,7 @@ from repro.transpiler.kernel import (
 )
 from repro.transpiler.kernel import native, route
 from repro.linalg.random import haar_unitary
-from repro.transpiler.metrics import gate_coordinate
+from repro.transpiler.metrics import evaluate, gate_coordinate
 from repro.transpiler.passes import (
     DepthMetric,
     SabreRouterFactory,
@@ -610,11 +614,13 @@ def test_refinement_run_builds_no_dag(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "metric, built", [(swap_count_metric, False), (DepthMetric(coverage=COVERAGE), True)]
+    "metric, scores_depth",
+    [(swap_count_metric, False), (DepthMetric(coverage=COVERAGE), True)],
 )
-def test_kept_routing_builds_dag_only_when_read(monkeypatch, metric, built):
-    """Only a metric that reads the DAG builds it inside the trial; the
-    swap-count metric leaves it to whoever reads ``.dag`` next."""
+def test_kept_routing_builds_dag_only_when_read(monkeypatch, metric, scores_depth):
+    """Neither selection metric builds the kept routing's DAG inside the
+    trial: the depth metric scores the routed event stream, and the DAG
+    is left to whoever reads ``.dag`` next."""
     monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
     coupling = grid_topology(2, 3)
     dag = DAGCircuit.from_circuit(qft(5))
@@ -628,9 +634,135 @@ def test_kept_routing_builds_dag_only_when_read(monkeypatch, metric, built):
         selection_metric=metric,
     )
     outcome = run_trial(spec, TrialRef(0, np.random.SeedSequence(3)))
-    assert isinstance(outcome.routing.routed, DAGCircuit) == built
+    assert isinstance(outcome.routing.routed, RoutedOps)
     clone = pickle.loads(pickle.dumps(outcome.routing))
     assert _routing_stream(clone) == _routing_stream(outcome.routing)
+    if scores_depth:
+        assert outcome.score == evaluate(outcome.routing.dag, coverage=COVERAGE).depth
+    else:
+        assert outcome.score == outcome.routing.swaps_added
+
+
+def test_mirage_transpile_builds_one_routed_dag(monkeypatch):
+    """Refinement rounds and every scored trial leave their event streams
+    unbuilt; only the kept routing becomes a DAG."""
+    monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+    calls = []
+    monkeypatch.setattr(RoutedOps, "to_dag", _spy(RoutedOps.to_dag, calls))
+    result = transpile(
+        qft(8), grid_topology(3, 3), method="mirage", layout_trials=4,
+        routing_trials=2, use_vf2=False, coverage=COVERAGE, seed=5,
+    )
+    assert result.swaps_added > 0
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# The depth selection metric over the event stream
+# ---------------------------------------------------------------------------
+
+CBRT_COVERAGE = get_coverage_set("cbrt_iswap", num_samples=250, seed=3)
+
+
+def _calibrated(coverage):
+    """``coverage`` with pulse costs that are not whole multiples of its
+    unit, as calibrated pulse durations would be.
+
+    The library's own polytope costs are ``depth * unit``, and those
+    survive ``cost / unit * unit`` unchanged even for the non-dyadic unit
+    1/3.  Each cost here is the first two-decimal value from
+    ``depth * unit`` up that does not, so a score that goes through unit
+    counts rounds differently from one built from the raw costs.
+    """
+    unit = coverage.unit_cost
+    polytopes = []
+    for polytope in coverage.polytopes:
+        cost = round(polytope.depth * unit, 2)
+        while polytope.depth and cost / unit * unit == cost:
+            cost = round(cost + 0.01, 2)
+        polytopes.append(dataclasses.replace(polytope, cost=cost))
+    calibrated = CoverageSet(coverage.basis, polytopes, mirrored=coverage.mirrored,
+                             atol=coverage.atol)
+    assert [p.depth for p in calibrated.polytopes] == [p.depth for p in polytopes]
+    return calibrated
+
+
+CALIBRATED_COVERAGE = _calibrated(CBRT_COVERAGE)
+
+
+def _scoring_circuit(rng, num_qubits):
+    """Haar blocks and controlled phases (whose mirrors cost more, so
+    aggression 3 accepts costlier mirrors), single-qubit gates, barriers
+    over some wires and full-width barriers."""
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(int(rng.integers(10, 30))):
+        roll = rng.random()
+        a, b = (int(q) for q in rng.choice(num_qubits, size=2, replace=False))
+        if roll < 0.45:
+            circuit.unitary(haar_unitary(4, rng), [a, b], check=False)
+        elif roll < 0.65:
+            circuit.cp(float(rng.uniform(0.1, 3.0)), a, b)
+        elif roll < 0.8:
+            circuit.rz(float(rng.random()), a)
+        elif roll < 0.92:
+            qubits = rng.choice(num_qubits, size=int(rng.integers(2, num_qubits + 1)),
+                                replace=False)
+            circuit.barrier(*(int(q) for q in qubits))
+        else:
+            circuit.barrier()
+    return circuit
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+@pytest.mark.parametrize(
+    "coverage",
+    [COVERAGE, CBRT_COVERAGE, CALIBRATED_COVERAGE],
+    ids=["sqrt_iswap", "cbrt_iswap", "calibrated"],
+)
+def test_event_stream_score_equals_evaluate(monkeypatch, coverage, loop):
+    """Oracle: ``DepthMetric`` on a flat-kernel result equals
+    ``evaluate(result.dag).depth`` exactly, and equals its score of the
+    object router's DAG, for SABRE and MIRAGE at aggressions 0-3 over
+    random couplings, in every routing trial of a layout trial."""
+    if loop == "compiled" and native.router() is None:
+        pytest.skip("no C compiler: the compiled routing loop is unavailable")
+    if loop == "python":
+        monkeypatch.setattr(native, "router", lambda: None)
+    metric = DepthMetric(coverage=coverage)
+    scored = []
+
+    def checked(result):
+        score = metric(result)
+        assert isinstance(result.routed, RoutedOps)  # scoring built nothing
+        assert score == evaluate(result.dag, coverage=coverage).depth
+        scored.append(result)
+        return score
+
+    for case in range(8):
+        rng = np.random.default_rng(0xDE97 + case)
+        num_qubits = int(rng.integers(3, 7))
+        dag = DAGCircuit.from_circuit(_scoring_circuit(rng, num_qubits))
+        coupling = _random_connected_coupling(rng, num_qubits + int(rng.integers(0, 3)))
+        aggression = case % 4
+        for factory in (
+            SabreRouterFactory(coupling),
+            lambda trial: MirageSwap(coupling, coverage=coverage, aggression=aggression),
+        ):
+            spec = TrialSpec(
+                dag=dag, reverse_dag=None, coupling=coupling, router_factory=factory,
+                refinement_rounds=1, routing_trials=3, selection_metric=checked,
+            )
+            ref = TrialRef(0, np.random.SeedSequence(case))
+            monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "flat")
+            flat = run_trial(spec, ref)
+            monkeypatch.setenv("MIRAGE_ROUTE_KERNEL", "object")
+            obj = run_trial(dataclasses.replace(spec, selection_metric=metric), ref)
+            assert isinstance(obj.routing.routed, DAGCircuit)
+            assert flat.score == obj.score
+            assert _routing_stream(flat.routing) == _routing_stream(obj.routing)
+    assert len(scored) == 8 * 2 * 3
+    assert sum(result.mirrors_accepted for result in scored) > 0
+    assert any(result.swaps_added for result in scored)
 
 
 # ---------------------------------------------------------------------------

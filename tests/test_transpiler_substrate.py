@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TranspilerError
 from repro.circuits import QuantumCircuit
-from repro.circuits.library import ghz, qft
+from repro.circuits.library import TABLE_III_SUITE, ghz, qft
+from repro.core import transpile
 from repro.linalg import equal_up_to_global_phase
 from repro.polytopes import CoordinateCache, get_coverage_set
 from repro.transpiler import (
@@ -29,7 +32,10 @@ from repro.transpiler.passes import (
     elide_input_swaps,
     unroll_to_two_qubit,
 )
+from repro.transpiler.metrics import CircuitMetrics, node_coordinate
 from repro.transpiler.passmanager import PassManager
+
+COVERAGE = get_coverage_set("sqrt_iswap", num_samples=250, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +254,113 @@ def test_metrics_depth_accounts_for_parallelism():
     assert metrics.depth == pytest.approx(1.0)
     assert metrics.total_cost == pytest.approx(2.0)
     assert metrics.gate_depth == 1
+
+
+def _kahn_longest_path(dag, weight=None):
+    """The Kahn-sort longest path ``DAGCircuit.longest_path_length`` used
+    before it became one per-wire walk, kept as the reference."""
+    if weight is None:
+        weight = lambda node: 0.0 if node.is_directive else 1.0  # noqa: E731
+    distance = {}
+    best = 0.0
+    for node in dag.topological_nodes():
+        upstream = max(
+            (distance[pred.node_id] for pred in dag.predecessors(node)), default=0.0
+        )
+        distance[node.node_id] = upstream + weight(node)
+        best = max(best, distance[node.node_id])
+    return best
+
+
+def _reference_evaluate(dag, coverage):
+    """``evaluate`` as it was before its one-walk rewrite: two Kahn-sort
+    longest paths and four scans."""
+    two_qubit_nodes = [node for node in dag.nodes.values() if node.is_two_qubit]
+    cost_by_node = {}
+    if two_qubit_nodes:
+        costs = coverage.cost_of_many([node_coordinate(node) for node in two_qubit_nodes])
+        cost_by_node = {
+            node.node_id: float(cost) for node, cost in zip(two_qubit_nodes, costs)
+        }
+
+    def weight(node):
+        return cost_by_node.get(node.node_id, 0.0)
+
+    return CircuitMetrics(
+        depth=float(_kahn_longest_path(dag, weight)),
+        total_cost=float(sum(weight(node) for node in dag.nodes.values())),
+        swap_count=sum(1 for node in dag.nodes.values() if node.gate.name == "swap"),
+        two_qubit_count=sum(1 for node in dag.nodes.values() if node.is_two_qubit),
+        gate_depth=int(
+            _kahn_longest_path(dag, lambda node: 1.0 if node.is_two_qubit else 0.0)
+        ),
+    )
+
+
+@st.composite
+def _weighted_dag(draw):
+    """A random DAG of one- and two-qubit gates, partial and full-width
+    barriers, with default, zero, negative or arbitrary node weights."""
+    num_qubits = draw(st.integers(1, 6))
+    qubit = st.integers(0, num_qubits - 1)
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(draw(st.integers(0, 25))):
+        roll = draw(st.integers(0, 3))
+        if roll == 0 or num_qubits == 1:
+            circuit.h(draw(qubit))
+        elif roll == 1:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            circuit.cx(a, b)
+        elif roll == 2:
+            circuit.barrier(*draw(st.lists(qubit, min_size=1, unique=True)))
+        else:
+            circuit.barrier()
+    dag = circuit.to_dag()
+    weights = draw(st.one_of(
+        st.none(),
+        st.just([0.0] * len(dag)),
+        st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0]), min_size=len(dag),
+                 max_size=len(dag)),
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=len(dag),
+                 max_size=len(dag)),
+    ))
+    weight = None if weights is None else (lambda node: weights[node.node_id])
+    return dag, weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_weighted_dag())
+def test_longest_path_walk_equals_kahn_sort(case):
+    dag, weight = case
+    assert dag.longest_path_length(weight) == _kahn_longest_path(dag, weight)
+
+
+def _routed(circuit, **options):
+    return transpile(
+        circuit, grid_topology(3, 3), coverage=COVERAGE, layout_trials=2,
+        use_vf2=False, seed=7, **options,
+    ).circuit
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ghz(6),
+        lambda: qft(7),
+        lambda: consolidate_blocks(qft(7)),
+        lambda: _routed(qft(7)),
+        lambda: _routed(qft(7), aggression=3),
+        lambda: _routed(ghz(8), method="sabre"),
+    ]
+    + [lambda spec=spec: spec.build() for spec in TABLE_III_SUITE],
+    ids=["ghz6", "qft7", "qft7-blocks", "qft7-mirage", "qft7-mirage-a3", "ghz8-sabre"]
+    + [spec.name for spec in TABLE_III_SUITE],
+)
+def test_evaluate_equals_the_two_walk_reference(build):
+    circuit = build()
+    assert evaluate(circuit, coverage=COVERAGE) == _reference_evaluate(
+        circuit.to_dag(), COVERAGE
+    )
 
 
 def test_improvement_report():
